@@ -17,33 +17,50 @@ edge edit cannot afford to pay that per keystroke.  :class:`EditSession`
   each contribution depends on, so an edit recomputes only the dirty slice
   of Algorithm 1's step 3 and applies the resulting edge diff to the
   account graph in place;
-* scores are maintained, not recomputed: weakly-connected components of
-  both graphs are updated per edge change (Path Utility), Node Utility is
-  carried over (edge edits cannot change it), and opacity is re-read off
-  the account's compiled adversary simulation, itself patched through the
-  service's :class:`~repro.graph.deltas.DeltaBus`.
+* scores are maintained, not recomputed.  The session keeps the ``%P`` map
+  in node order and the per-edge opacity map in graph edge order filtered
+  to hidden edges — the orders a fresh report builds.  Weakly-connected
+  components of both graphs are updated per edge change, and only nodes
+  whose component size changed get a new ``%P`` (Path Utility).  Node
+  Utility is carried over (edge edits cannot change it).  Only hidden
+  edges the commit touched are scored, off the account's compiled
+  adversary simulation, itself patched through the service's
+  :class:`~repro.graph.deltas.DeltaBus`; when the patch moved the
+  adversary's weights, every leave-one-out denominator moved with them and
+  every hidden edge is rescored.
 
-The result of every :meth:`EditSession.commit` is byte-identical to a fresh
-``protect() + score()`` of the edited graph — the equivalence suite pins
-account graphs, surrogate sets and every ScoreCard float with exact ``==``.
-Deltas the incremental path cannot handle soundly (node additions/removals,
-feature edits that may change surrogate choices, policy changes) fall back
-to a full rebuild; both paths are counted in ``timings_ms``
-(``delta_apply`` / ``recompile_fallback``) and in
-:func:`~repro.graph.deltas.view_maintenance_stats` under ``"edit_session"``.
+So a commit does Python work in proportion to the edit, plus one copy of
+each score map for its result.  The result of every
+:meth:`EditSession.commit` is byte-identical to a fresh ``protect() +
+score()`` of the edited graph — the equivalence suite pins account graphs,
+surrogate sets and every ScoreCard float with exact ``==``, and the key
+order of both score maps.  Deltas the incremental path cannot handle
+soundly (node additions/removals, feature edits that may change surrogate
+choices) and policy changes, with or without a pending edit, fall back to a
+full rebuild; both paths are counted in ``timings_ms`` (``delta_apply`` /
+``recompile_fallback``) and in
+:func:`~repro.graph.deltas.view_maintenance_stats` under ``"edit_session"``,
+which also counts ``opacity_rescored`` commits.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.api.requests import ProtectionRequest
 from repro.api.results import ProtectionResult, ScoreCard
 from repro.core.generation import SURROGATE_EDGE_LABEL, build_protected_account
 from repro.core.markings import EdgeState, Marking
-from repro.core.opacity import DEFAULT_ADVERSARY, AttackerModel, hidden_edges, opacity_report
+from repro.core.opacity import (
+    DEFAULT_ADVERSARY,
+    AttackerModel,
+    CompiledOpacityView,
+    OpacityReport,
+    opacity_report,
+)
 from repro.core.permitted import VisibleWalkCache, direct_edge_allows_path
 from repro.core.privileges import Privilege
 from repro.core.protected_account import ProtectedAccount
@@ -75,19 +92,25 @@ class _ComponentIndex:
 
     ``%P`` only reads component *sizes*, so the index keeps a node → component
     id map plus per-component member sets.  Edge inserts union two
-    components (smaller into larger); edge removals re-derive the affected
-    side with one BFS that exits early as soon as the far endpoint proves
-    the component intact.  Counts are exactly
-    :func:`repro.graph.traversal.connected_pairs`'s.
+    components (smaller into larger).  Edge removals search from both
+    endpoints at once, always expanding the smaller frontier: if the two
+    searches meet, the component is intact; if one runs out first, it holds
+    exactly the side that split off.  A removal that leaves the component
+    intact costs about the two balls it took to meet, and a split costs
+    about the split-off side, never a sweep of the whole component.  Counts
+    are exactly :func:`repro.graph.traversal.connected_pairs`'s.
     """
 
-    __slots__ = ("graph", "comp_of", "members", "_next_id")
+    __slots__ = ("graph", "comp_of", "members", "_next_id", "_unreplayed")
 
     def __init__(self, graph: PropertyGraph) -> None:
         self.graph = graph
         self.comp_of: Dict[NodeId, int] = {}
         self.members: Dict[int, Set[NodeId]] = {}
         self._next_id = 0
+        # Removed edges a batch catch-up has not replayed yet, as undirected
+        # adjacency lists (see :meth:`apply_changes`).
+        self._unreplayed: Dict[NodeId, List[NodeId]] = {}
         for node_id in graph.node_ids():
             if node_id in self.comp_of:
                 continue
@@ -109,56 +132,92 @@ class _ComponentIndex:
         """Number of other nodes weakly connected to ``node_id``."""
         return len(self.members[self.comp_of[node_id]]) - 1
 
-    def add_edge(self, source: NodeId, target: NodeId) -> None:
-        """Union the endpoints' components (smaller side relabelled)."""
+    def add_edge(self, source: NodeId, target: NodeId) -> Set[NodeId]:
+        """Union the endpoints' components (smaller side relabelled).
+
+        Returns the nodes whose component size changed: the merged
+        component, or nothing when the endpoints were already connected.
+        """
         comp_source = self.comp_of[source]
         comp_target = self.comp_of[target]
         if comp_source == comp_target:
-            return
+            return set()
         if len(self.members[comp_source]) < len(self.members[comp_target]):
             comp_source, comp_target = comp_target, comp_source
         small = self.members.pop(comp_target)
         for node_id in small:
             self.comp_of[node_id] = comp_source
-        self.members[comp_source] |= small
+        merged = self.members[comp_source]
+        merged |= small
+        return set(merged)
 
-    def remove_edge(self, source: NodeId, target: NodeId) -> None:
+    def remove_edge(self, source: NodeId, target: NodeId) -> Set[NodeId]:
         """Split the component if (and only if) the removal disconnects it.
 
-        Must be called *after* the graph mutation.  Correct under batches of
-        interleaved edits applied in delta order: each BFS runs against the
-        final graph, so every split it performs is real, and connectivity it
-        cannot see through not-yet-processed removals is restored when those
-        removals are processed (each either splits or proves a surviving
-        path).
+        Must be called *after* the graph mutation.  Returns the nodes whose
+        component size changed: both sides of a split, or nothing.
         """
         graph = self.graph
-        if graph.has_edge(source, target) or graph.has_edge(target, source):
-            return  # the pair is still directly linked
-        if self.comp_of[source] != self.comp_of[target]:
-            return  # an earlier removal in this batch already split them
-        side = {source}
-        frontier = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor in graph.iter_neighbors(current):
-                if neighbor == target:
-                    return  # still connected without the removed edge
-                if neighbor not in side:
-                    side.add(neighbor)
-                    frontier.append(neighbor)
+        unreplayed = self._unreplayed
+        if (
+            graph.has_edge(source, target)
+            or graph.has_edge(target, source)
+            or target in unreplayed.get(source, ())
+        ):
+            return set()  # the pair is still directly linked
+        near, far = [source], [target]
+        near_seen, far_seen = {source}, {target}
+        while True:
+            if len(near) > len(far):
+                near, far = far, near
+                near_seen, far_seen = far_seen, near_seen
+            layer: List[NodeId] = []
+            for current in near:
+                for neighbor in chain(
+                    graph.iter_neighbors(current), unreplayed.get(current, ())
+                ):
+                    if neighbor in far_seen:
+                        return set()  # still connected without the removed edge
+                    if neighbor not in near_seen:
+                        near_seen.add(neighbor)
+                        layer.append(neighbor)
+            if not layer:
+                break  # near_seen is a whole component of the edited graph
+            near = layer
         old_comp = self.comp_of[source]
-        remainder = self.members[old_comp] - side
+        remainder = self.members[old_comp]
+        remainder -= near_seen
         new_comp = self._next_id
         self._next_id += 1
-        if len(side) <= len(remainder):
-            relabel, keep = side, remainder
-        else:
-            relabel, keep = remainder, side
-        for node_id in relabel:
+        for node_id in near_seen:
             self.comp_of[node_id] = new_comp
-        self.members[new_comp] = relabel
-        self.members[old_comp] = keep
+        self.members[new_comp] = near_seen
+        return near_seen | remainder
+
+    def apply_changes(self, changes: List[Tuple[bool, Edge]]) -> Set[NodeId]:
+        """Catch up with a batch of edge changes already applied to the graph.
+
+        Inserts are unioned first.  Removals are then replayed one at a
+        time against the edited graph *plus* the removed edges not yet
+        replayed, so each replay is a single-edge deletion and its split
+        check is exact — even when several removals in one batch cut the
+        same component.  Returns the nodes whose component size changed.
+        """
+        moved: Set[NodeId] = set()
+        removed = [edge.key for added, edge in changes if not added]
+        for added, edge in changes:
+            if added:
+                moved |= self.add_edge(edge.source, edge.target)
+        unreplayed = self._unreplayed
+        for source, target in removed:
+            unreplayed.setdefault(source, []).append(target)
+            unreplayed.setdefault(target, []).append(source)
+        for source, target in removed:
+            unreplayed[source].remove(target)
+            unreplayed[target].remove(source)
+            moved |= self.remove_edge(source, target)
+        unreplayed.clear()
+        return moved
 
 
 class EditSession:
@@ -250,34 +309,34 @@ class EditSession:
         patched in O(affected) and the returned result's ``timings_ms``
         carries the cost under ``delta_apply``.  Anything the delta path
         cannot handle soundly rebuilds the session from scratch
-        (``recompile_fallback``).  With no pending edits the previous result
-        is returned unchanged.
+        (``recompile_fallback``).  With no pending edits and no policy change
+        the previous result is returned unchanged.
         """
         if self._closed:
             raise ProtectionError("this EditSession is closed")
         with self._service._generation_lock:
             deltas = self._pending
             self._pending = []
-            if not deltas:
+            if not deltas and self._policy_token() == self._policy_base:
                 return self.result
             timings: Dict[str, float] = {}
             start = time.perf_counter()
-            patched = False
+            changes = None
             if self._can_patch(deltas):
                 try:
-                    patched = self._apply_incremental(deltas, timings)
+                    changes = self._apply_incremental(deltas)
                 except Exception:
                     # A failed patch must degrade to the (always-sound) full
                     # rebuild, never take the session down: partially
                     # patched index state is irrelevant because _rebuild
                     # reconstructs everything from the live graph.
-                    patched = False
+                    changes = None
                     record_maintenance("edit_session", "patch_error")
-            if patched:
+            if changes is not None:
                 timings["delta_apply"] = (time.perf_counter() - start) * 1000.0
                 timings["recompile_fallback"] = 0.0
                 record_maintenance("edit_session", "delta_applied")
-                scores = self._score(self.result.account)
+                scores = self._score(self.result.account, *changes)
             else:
                 self._rebuild(timings)
                 timings["delta_apply"] = 0.0
@@ -408,7 +467,6 @@ class EditSession:
         # Score state.
         self._orig_comps = _ComponentIndex(graph)
         self._acc_comps = _ComponentIndex(account.graph)
-        self._hidden: Set[EdgeKey] = set(hidden_edges(graph, account))
         utility = utility_report(graph, account)
         self._node_utility = utility.node_utility
 
@@ -424,11 +482,18 @@ class EditSession:
             account.graph,
             account.graph.subscribe(service._opacity_views.on_delta),
         )
+        opacity, score_timings = self._score_opacity(account, None, None)
+        # The maintained score maps: %P in node order and per-edge opacity
+        # in graph edge order filtered to hidden edges — the orders a fresh
+        # report builds, which its float averages depend on.
+        self._percentages: Dict[NodeId, float] = dict(utility.path_percentages)
+        self._per_edge: Dict[EdgeKey, float] = dict(opacity.per_edge)
+        self._opacity_view: Optional[CompiledOpacityView] = opacity.view
         request = ProtectionRequest(privileges=(privilege,), name=self._name)
         self.result = ProtectionResult(
             request=request,
             account=account,
-            scores=self._score(account, utility=utility),
+            scores=ScoreCard(utility=utility, opacity=opacity, timings_ms=score_timings),
             timings_ms=timings,
             stored_as=None,
         )
@@ -443,19 +508,23 @@ class EditSession:
     # the incremental path
     # ------------------------------------------------------------------ #
     def _apply_incremental(
-        self, deltas: List[GraphDelta], timings: Dict[str, float]
-    ) -> bool:
-        """Patch every derived structure through ``deltas``; False → fallback."""
+        self, deltas: List[GraphDelta]
+    ) -> Optional[Tuple[Set[NodeId], Set[EdgeKey]]]:
+        """Patch every derived structure through ``deltas``; None → fallback.
+
+        Returns what :meth:`_score` must refresh: the original nodes whose
+        ``%P`` may have moved and the hidden edges to (re)score.
+        """
         graph = self._graph
         policy = self._service.policy
         view = policy.markings.compile(graph, self._privilege)
         if view is not self._view or view.graph_version != graph.version:
-            return False  # the policy's LRU replaced the view: start over
+            return None  # the policy's LRU replaced the view: start over
         evicted: List[WalkKey] = []
         for delta in deltas:
             result = self._walks.apply_delta(delta)
             if result is None:
-                return False
+                return None
             evicted.extend(result)
 
         edited: List[Tuple[bool, Edge]] = [
@@ -487,8 +556,11 @@ class EditSession:
             dependents = self._walk_resolution_dependents.get(walk_key)
             if dependents:
                 dirty_roots |= dependents
-        dirty_roots &= set(self._resolutions)
-        dirty_roots -= dead_pairs
+        dirty_roots = {
+            pair
+            for pair in dirty_roots
+            if pair in self._resolutions and pair not in dead_pairs
+        }
 
         candidate_changes: Set[Pair] = set()
         for pair in dead_pairs | dirty_roots:
@@ -549,25 +621,62 @@ class EditSession:
         account = self.result.account
         account_graph = account.graph
         with account_graph.batch():
-            self._apply_account_diff(
+            account_moved = self._apply_account_diff(
                 account, surr_remove, vis_removed, vis_added, vis_replaced, surr_add
             )
 
-        # --- original-graph score state ----------------------------------- #
-        for added, edge in edited:
-            if added:
-                self._orig_comps.add_edge(edge.source, edge.target)
-            else:
-                self._orig_comps.remove_edge(edge.source, edge.target)
-                self._hidden.discard(edge.key)
-        for key in edited_keys:
-            if graph.has_edge(*key):
-                shown = key in self._visible or key in self._surrogate_pairs
-                if shown:
-                    self._hidden.discard(key)
-                else:
-                    self._hidden.add(key)
-        return True
+        # --- score state ------------------------------------------------ #
+        moved = self._orig_comps.apply_changes(edited)
+        correspondence = account.correspondence
+        moved.update(correspondence[node_id] for node_id in account_moved)
+        return moved, self._update_hidden(
+            edited_keys.union(surr_add, surr_remove), deltas
+        )
+
+    def _update_hidden(
+        self, touched: Set[EdgeKey], deltas: List[GraphDelta]
+    ) -> Set[EdgeKey]:
+        """Bring the hidden-edge map's keys and order up to date.
+
+        ``touched`` holds every original key whose shown/hidden status may
+        have changed.  Hidden keys that left the graph or became shown are
+        popped.  Keys the commit (re)inserted now close the graph's edge
+        order, in the order of their last insert, so hidden ones move to the
+        end in that order.  A persisting edge that turned hidden — the one
+        case that lands mid-order — rebuilds the order from the graph.
+        Returns the touched keys that are hidden now: the edges to rescore,
+        each already holding a placeholder at its position.
+        """
+        graph = self._graph
+        visible = self._visible
+        surrogate_pairs = self._surrogate_pairs
+        per_edge = self._per_edge
+        hidden = {
+            key
+            for key in touched
+            if graph.has_edge(*key)
+            and key not in visible
+            and key not in surrogate_pairs
+        }
+        for key in touched - hidden:
+            per_edge.pop(key, None)
+        appended: Dict[EdgeKey, None] = {}
+        for delta in deltas:
+            for primitive in delta.flatten():
+                if primitive.kind is DeltaKind.ADD_EDGE:
+                    appended.pop(primitive.edge.key, None)
+                    appended[primitive.edge.key] = None
+        for key in appended:
+            if key in hidden:
+                per_edge.pop(key, None)
+                per_edge[key] = 1.0
+        if any(key not in per_edge for key in hidden):
+            self._per_edge = {
+                key: per_edge.get(key, 1.0)
+                for key in graph.edge_keys()
+                if key in per_edge or key in hidden
+            }
+        return hidden
 
     def _apply_account_diff(
         self,
@@ -577,21 +686,24 @@ class EditSession:
         vis_added: List[Edge],
         vis_replaced: List[Edge],
         surr_add: List[Pair],
-    ) -> None:
-        """Apply one commit's edge diff to the account graph in place."""
+    ) -> Set[NodeId]:
+        """Apply one commit's edge diff to the account graph in place.
+
+        Returns the account nodes whose component size changed.
+        """
         to_account = self._to_account
         account_graph = account.graph
+        acc_comps = self._acc_comps
+        moved: Set[NodeId] = set()
         for pair in surr_remove:
             account_key = (to_account[pair[0]], to_account[pair[1]])
             account_graph.remove_edge(*account_key)
             account.surrogate_edges.discard(account_key)
-            self._acc_comps.remove_edge(*account_key)
-            self._toggle_hidden(pair, shown=False)
+            moved |= acc_comps.remove_edge(*account_key)
         for key in vis_removed:
             account_key = (to_account[key[0]], to_account[key[1]])
             account_graph.remove_edge(*account_key)
-            self._acc_comps.remove_edge(*account_key)
-            self._toggle_hidden(key, shown=False)
+            moved |= acc_comps.remove_edge(*account_key)
         for edge in vis_added:
             account_key = (to_account[edge.source], to_account[edge.target])
             account_graph.add_edge(
@@ -600,8 +712,7 @@ class EditSession:
                 label=edge.label,
                 features=dict(edge.features),
             )
-            self._acc_comps.add_edge(*account_key)
-            self._toggle_hidden(edge.key, shown=True)
+            moved |= acc_comps.add_edge(*account_key)
         for edge in vis_replaced:
             account_key = (to_account[edge.source], to_account[edge.target])
             account_graph.add_edge(
@@ -617,17 +728,8 @@ class EditSession:
                 account_key[0], account_key[1], label=SURROGATE_EDGE_LABEL
             )
             account.surrogate_edges.add(account_key)
-            self._acc_comps.add_edge(*account_key)
-            self._toggle_hidden(pair, shown=True)
-
-    def _toggle_hidden(self, pair: Pair, *, shown: bool) -> None:
-        """Keep the hidden-edge set in step with one account-pair change."""
-        if not self._graph.has_edge(*pair):
-            return
-        if shown:
-            self._hidden.discard(pair)
-        else:
-            self._hidden.add(pair)
+            moved |= acc_comps.add_edge(*account_key)
+        return moved
 
     # ------------------------------------------------------------------ #
     # the per-edge / per-pair index
@@ -798,73 +900,104 @@ class EditSession:
     def _score(
         self,
         account: ProtectedAccount,
-        utility: Optional[UtilityReport] = None,
+        moved: Set[NodeId],
+        dirty: Set[EdgeKey],
     ) -> ScoreCard:
         """The ScoreCard of the maintained account, float-exact vs a fresh one.
 
-        Path Utility is read off the maintained component indexes in the
-        same node order (and with the same integer ratios) as
-        :func:`~repro.core.utility.path_percentages`; Node Utility cannot
-        change under edge edits and is carried over; opacity re-scores every
-        hidden edge off the patched compiled simulation, iterating in the
-        same canonical order as :func:`~repro.core.opacity.hidden_edges` so
-        even the float *sums* agree bit for bit.
+        Path Utility: only the nodes whose component size changed, in
+        either graph, get their ``%P`` recomputed, with the same integer
+        ratios as :func:`~repro.core.utility.path_percentages`; the map
+        stays in node order, so its average sums in the same order as a
+        fresh report's.  Node Utility cannot change under edge edits and is
+        carried over.  Opacity: see :meth:`_score_opacity`.  Each result
+        gets its own copy of both maps.
         """
-        graph = self._graph
-        if utility is None:
-            to_account = self._to_account
-            orig_comps = self._orig_comps
-            acc_comps = self._acc_comps
-            percentages: Dict[NodeId, float] = {}
-            for node_id in graph.node_ids():
-                account_node = to_account.get(node_id)
-                if account_node is None:
-                    percentages[node_id] = 0.0
-                    continue
-                original_connected = orig_comps.connected_count(node_id)
-                if original_connected == 0:
-                    percentages[node_id] = 1.0
-                    continue
-                percentages[node_id] = (
-                    acc_comps.connected_count(account_node) / original_connected
-                )
-            node_count = graph.node_count()
-            path_value = (
-                sum(percentages.values()) / node_count if node_count else 1.0
+        to_account = self._to_account
+        orig_comps = self._orig_comps
+        acc_comps = self._acc_comps
+        percentages = self._percentages
+        for node_id in moved:
+            account_node = to_account.get(node_id)
+            if account_node is None:
+                continue  # unrepresented: %P stays 0
+            original_connected = orig_comps.connected_count(node_id)
+            percentages[node_id] = (
+                acc_comps.connected_count(account_node) / original_connected
+                if original_connected
+                else 1.0
             )
-            utility = UtilityReport(
-                path_utility=path_value,
-                node_utility=self._node_utility,
-                path_percentages=percentages,
-            )
-        hidden = self._hidden
-        ordered_hidden = [key for key in graph.edge_keys() if key in hidden]
-        compile_ms = 0.0
+        path_percentages = dict(percentages)
+        node_count = self._graph.node_count()
+        utility = UtilityReport(
+            path_utility=(
+                sum(path_percentages.values()) / node_count if node_count else 1.0
+            ),
+            node_utility=self._node_utility,
+            path_percentages=path_percentages,
+        )
+        report, timings_ms = self._score_opacity(account, dirty, self._opacity_view)
+        self._per_edge.update(report.per_edge)
+        self._opacity_view = report.view
+        per_edge = dict(self._per_edge)
+        opacity = OpacityReport(
+            average=sum(per_edge.values()) / len(per_edge) if per_edge else 1.0,
+            per_edge=per_edge,
+            view=report.view,
+        )
+        return ScoreCard(utility=utility, opacity=opacity, timings_ms=timings_ms)
 
-        def view_factory():
-            nonlocal compile_ms
+    def _score_opacity(
+        self,
+        account: ProtectedAccount,
+        edges: Optional[Iterable[EdgeKey]],
+        view: Optional[CompiledOpacityView],
+    ) -> Tuple[OpacityReport, Dict[str, float]]:
+        """Score ``edges`` (``None``: every hidden edge) off the service's view cache.
+
+        ``view`` is the simulation the carried per-edge values were read
+        off.  When the account changed since, the patched simulation is
+        fetched and its weight maps compared with ``view``'s: equal maps
+        leave every carried value exact, so only ``edges`` are scored;
+        different maps move every leave-one-out denominator, so every
+        hidden edge is rescored (counted as ``opacity_rescored`` under
+        ``"edit_session"``).  The comparison also covers adversaries that
+        are not delta-local and ``normalize_focus``.  Returns the report
+        plus its ``opacity_compile`` / ``opacity_score`` split in ms.
+        """
+        timings_ms = {"opacity_compile": 0.0}
+
+        def view_factory() -> CompiledOpacityView:
             start = time.perf_counter()
-            view = self._service._opacity_views.get_or_compile(
+            current = self._service._opacity_views.get_or_compile(
                 account.graph, self._adversary
             )
-            compile_ms += (time.perf_counter() - start) * 1000.0
-            return view
+            timings_ms["opacity_compile"] += (time.perf_counter() - start) * 1000.0
+            return current
 
         start = time.perf_counter()
-        opacity = opacity_report(
-            graph,
+        if view is not None and not view.is_current_for(account.graph, self._adversary):
+            current = view_factory()
+            if (
+                current.focus_weights != view.focus_weights
+                or current.inference_weights != view.inference_weights
+            ):
+                edges = list(self._per_edge)
+                record_maintenance("edit_session", "opacity_rescored")
+            view = current
+        report = opacity_report(
+            self._graph,
             account,
-            ordered_hidden,
+            edges,
             adversary=self._adversary,
             normalize_focus=self._normalize_focus,
+            view=view,
             view_factory=view_factory,
         )
-        score_ms = (time.perf_counter() - start) * 1000.0 - compile_ms
-        return ScoreCard(
-            utility=utility,
-            opacity=opacity,
-            timings_ms={"opacity_compile": compile_ms, "opacity_score": score_ms},
+        timings_ms["opacity_score"] = (
+            (time.perf_counter() - start) * 1000.0 - timings_ms["opacity_compile"]
         )
+        return report, timings_ms
 
 
 # ---------------------------------------------------------------------- #

@@ -524,13 +524,17 @@ class CompiledOpacityView:
         self.node_count = len(focus_weights)
         self._denominators_stale = True
 
-    def _refresh_denominators(self) -> None:
-        """Rebuild the leave-one-out denominators from the exact total."""
+    def _leave_one_out_by_value(self) -> Dict[float, float]:
+        """The leave-one-out denominator per distinct inference weight value."""
         total = self._total_inference_exact
-        loo_by_value = {
+        return {
             weight: float(total - Fraction(weight))
             for weight in self._inference_value_counts
         }
+
+    def _refresh_denominators(self) -> None:
+        """Rebuild the leave-one-out denominators from the exact total."""
+        loo_by_value = self._leave_one_out_by_value()
         self.guess_denominators = {
             node_id: loo_by_value[weight]
             for node_id, weight in self.inference_weights.items()
@@ -570,38 +574,66 @@ class CompiledOpacityView:
     ) -> float:
         """``I`` — probability the attacker names the hidden edge from either endpoint.
 
-        Each edge case has an explicit branch (pinned by dedicated unit
+        The one-pair case of :meth:`inference_likelihoods`, so single-edge
+        reads and batch scoring share one arithmetic.
+        """
+        return self.inference_likelihoods(
+            [(account_source, account_target)], normalize_focus=normalize_focus
+        )[0]
+
+    def inference_likelihoods(
+        self,
+        pairs: List[Tuple[NodeId, NodeId]],
+        *,
+        normalize_focus: bool = False,
+    ) -> List[float]:
+        """``I`` for many ``(account source, account target)`` pairs, O(1) each.
+
+        ``I = FP(s)·guess(s → t) + FP(t)·guess(t → s)``, clamped to
+        ``[0, 1]``, where ``guess(u → v) = IP(v) / Σ_{w ≠ u} IP(w)`` (zero
+        when that denominator is).  The denominator depends only on
+        ``IP(u)``'s value, so it is read off one small per-value table
+        instead of the per-node ``guess_denominators`` — a patched view
+        never has to rebuild that O(V) table just to be read.  Each
+        degenerate input has an explicit branch (pinned by dedicated unit
         tests in ``tests/core/test_opacity.py``) rather than relying on the
         arithmetic falling through to zero.
         """
-        if self._denominators_stale:
-            self._refresh_denominators()
         if self.node_count < 2:
             # A single-node account graph offers no far endpoint to name.
-            return 0.0
+            return [0.0] * len(pairs)
         if self.total_inference == 0.0:
             # All-zero inference weights: every guess has zero mass.
-            return 0.0
-        if normalize_focus and self.total_focus <= 0.0:
+            return [0.0] * len(pairs)
+        total_focus = self.total_focus
+        if normalize_focus and total_focus <= 0.0:
             # Normalised focus over zero total attention is no attention.
-            return 0.0
-        likelihood = self._focus(account_source, normalize_focus) * self._guess(
-            account_source, account_target
-        ) + self._focus(account_target, normalize_focus) * self._guess(
-            account_target, account_source
-        )
-        return max(0.0, min(1.0, likelihood))
-
-    def _focus(self, node_id: NodeId, normalize_focus: bool) -> float:
-        """``FP`` of one node — raw, or normalised to a distribution."""
-        weight = self.focus_weights[node_id]
-        if not normalize_focus:
-            return weight
-        return weight / self.total_focus if self.total_focus > 0 else 0.0
+            return [0.0] * len(pairs)
+        focus = self.focus_weights
+        inference = self.inference_weights
+        leave_one_out = self._leave_one_out_by_value()
+        likelihoods: List[float] = []
+        for source, target in pairs:
+            source_focus = focus[source]
+            target_focus = focus[target]
+            if normalize_focus:
+                source_focus /= total_focus
+                target_focus /= total_focus
+            source_inference = inference[source]
+            target_inference = inference[target]
+            source_denominator = leave_one_out[source_inference]
+            target_denominator = leave_one_out[target_inference]
+            likelihood = source_focus * (
+                target_inference / source_denominator if source_denominator > 0 else 0.0
+            ) + target_focus * (
+                source_inference / target_denominator if target_denominator > 0 else 0.0
+            )
+            likelihoods.append(max(0.0, min(1.0, likelihood)))
+        return likelihoods
 
     def _guess(self, from_node: NodeId, to_node: NodeId) -> float:
         """P(attacker focused on ``from_node`` names ``to_node`` as the other endpoint)."""
-        denominator = self.guess_denominators[from_node]
+        denominator = self._leave_one_out_by_value()[self.inference_weights[from_node]]
         if denominator <= 0:
             return 0.0
         return self.inference_weights[to_node] / denominator
@@ -814,38 +846,46 @@ def _batch_opacity(
 ) -> Tuple[Dict[EdgeKey, float], Optional[CompiledOpacityView]]:
     """Shared batch core: per-edge opacity plus the view that scored it.
 
-    The view is compiled lazily — an account that shows (or cannot name) every
-    scored edge never pays for a simulation — and validated once per batch.
-    ``view_factory`` (when given) supplies the view at that first point of
-    need instead of a direct compile; serving layers pass their
-    :class:`OpacityViewCache` through it.  A stale view from either source
-    is recompiled, never trusted.
+    One pass classifies every edge off a single fetch of the account's
+    reverse correspondence: shown edges score 0, edges with an endpoint the
+    account cannot name score 1, and the rest go to one
+    :meth:`CompiledOpacityView.inference_likelihoods` call.  Values keep
+    the order of ``edges``.  The view is compiled lazily — an account that
+    shows (or cannot name) every scored edge never pays for a simulation —
+    and validated once per batch.  ``view_factory`` (when given) supplies
+    the view at that point of need instead of a direct compile; serving
+    layers pass their :class:`OpacityViewCache` through it.  A stale view
+    from either source is recompiled, never trusted.
     """
     adversary = adversary if adversary is not None else DEFAULT_ADVERSARY
+    account_node_of = account._reverse().get
+    shown = account.graph.has_edge
     values: Dict[EdgeKey, float] = {}
-    view_checked = False
-    for edge in edges:
-        source, target = edge
+    inferred_keys: List[EdgeKey] = []
+    inferred_pairs: List[Tuple[NodeId, NodeId]] = []
+    for source, target in edges:
         key = (source, target)
-        if account.contains_original_edge(source, target):
-            values[key] = 0.0
-            continue
-        account_source = account.account_node_of(source)
-        account_target = account.account_node_of(target)
+        account_source = account_node_of(source)
+        account_target = account_node_of(target)
         if account_source is None or account_target is None:
             values[key] = 1.0
-            continue
-        if not view_checked:
+        elif shown(account_source, account_target):
+            values[key] = 0.0
+        else:
+            values[key] = 1.0  # placeholder, keeps the key's position
+            inferred_keys.append(key)
+            inferred_pairs.append((account_source, account_target))
+    if inferred_pairs:
+        if view is None or not view.is_current_for(account.graph, adversary):
+            if view_factory is not None:
+                view = view_factory()
             if view is None or not view.is_current_for(account.graph, adversary):
-                if view_factory is not None:
-                    view = view_factory()
-                if view is None or not view.is_current_for(account.graph, adversary):
-                    view = CompiledOpacityView.compile(account.graph, adversary)
-            view_checked = True
-        inference = view.inference_likelihood(
-            account_source, account_target, normalize_focus=normalize_focus
+                view = CompiledOpacityView.compile(account.graph, adversary)
+        likelihoods = view.inference_likelihoods(
+            inferred_pairs, normalize_focus=normalize_focus
         )
-        values[key] = max(0.0, min(1.0, 1.0 - inference))
+        for key, inference in zip(inferred_keys, likelihoods):
+            values[key] = max(0.0, min(1.0, 1.0 - inference))
     return values, view
 
 
