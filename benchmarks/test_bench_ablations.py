@@ -5,8 +5,7 @@ library's own moving parts:
 
 * surrogate-edge computation on/off (what step 3 of the algorithm costs),
 * the optional maximal-connectivity repair pass,
-* scaling of the generation algorithm with graph size,
-* the incremental adjacency index vs recomputing adjacency from scratch.
+* scaling of the generation algorithm with graph size.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import pytest
 from repro.core.generation import generate_protected_account
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
-from repro.store.index import AdjacencyIndex
-from repro.workloads.random_graphs import sample_edges
 from repro.workloads.synthetic import SyntheticGraphSpec, synthetic_graph
 
 
@@ -87,31 +84,3 @@ def test_bench_generation_scaling(benchmark, node_count):
         generate_protected_account, instance.graph, policy, policy.lattice.public
     )
     assert account.graph.node_count() == node_count
-
-
-@pytest.mark.benchmark(group="ablation-index")
-def test_bench_incremental_adjacency_index(benchmark, medium_instance):
-    """Incremental index maintenance vs a full rebuild per mutation batch."""
-    edges = sample_edges(medium_instance.graph, 100, seed=3)
-
-    def incremental():
-        index = AdjacencyIndex.build(medium_instance.graph)
-        for source, target in edges:
-            index.remove_edge(source, target)
-            index.add_edge(source, target)
-        return index
-
-    index = benchmark(incremental)
-    assert index.consistent_with(medium_instance.graph)
-
-
-@pytest.mark.benchmark(group="ablation-index")
-def test_bench_full_index_rebuilds(benchmark, medium_instance):
-    def rebuild_every_time():
-        index = None
-        for _ in range(10):
-            index = AdjacencyIndex.build(medium_instance.graph)
-        return index
-
-    index = benchmark(rebuild_every_time)
-    assert index.consistent_with(medium_instance.graph)

@@ -83,7 +83,7 @@ from repro.core.opacity import (
 from repro.core.utility import UtilityReport
 from repro.exceptions import CorruptionError, StoreError
 from repro.graph.deltas import record_maintenance
-from repro.graph.model import Edge, Node, PropertyGraph
+from repro.graph.model import PropertyGraph, _edge, _node
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.store.wal import LogRecord
 
@@ -601,26 +601,6 @@ def _encode_diff(diff: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _build_edges(sources, targets, labels, features_col) -> list:
-    """Construct ``Edge`` rows positionally, bypassing the frozen ``__init__``.
-
-    The frozen-dataclass protocol routes every field through
-    ``object.__setattr__``; on a diff with tens of thousands of added edges
-    that is the single largest restore cost.  Populating ``__dict__``
-    directly builds identical instances (same fields, same equality) in
-    roughly two thirds of the time.
-    """
-    new = Edge.__new__
-    out = [new(Edge) for _ in sources]
-    for edge, source, target, label, features in zip(
-        out, sources, targets, labels, features_col
-    ):
-        edge.__dict__.update(
-            source=source, target=target, label=label, features=features
-        )
-    return out
-
-
 def _apply_graph_diff(
     base: PropertyGraph, diff: Dict[str, Any], name: Optional[str]
 ) -> PropertyGraph:
@@ -636,8 +616,8 @@ def _apply_graph_diff(
     rebuilt = PropertyGraph(name=name)
     rebuilt._nodes = dict(base._nodes)
     rebuilt._edges = dict(base._edges)
-    rebuilt._succ = {node: dict(adj) for node, adj in base._succ.items()}
-    rebuilt._pred = {node: dict(adj) for node, adj in base._pred.items()}
+    rebuilt._succ = {node: adj.copy() for node, adj in base._succ.items()}
+    rebuilt._pred = {node: adj.copy() for node, adj in base._pred.items()}
     nodes, edges, succ, pred = rebuilt._nodes, rebuilt._edges, rebuilt._succ, rebuilt._pred
 
     removed = diff["removed_edges"]
@@ -657,24 +637,22 @@ def _apply_graph_diff(
         pred.pop(node_id, None)
 
     ids, kinds, features_col = _entity_columns(diff["added_nodes"], 2)
-    nodes.update(zip(ids, map(Node, ids, kinds, features_col)))
+    nodes.update(zip(ids, map(_node, ids, kinds, features_col)))
     for node_id in ids:
         succ.setdefault(node_id, {})
         pred.setdefault(node_id, {})
     sources, targets, labels, features_col = _entity_columns(diff["added_edges"], 3)
     keys = list(zip(sources, targets))
-    edges.update(zip(keys, _build_edges(sources, targets, labels, features_col)))
+    edges.update(zip(keys, map(_edge, sources, targets, labels, features_col)))
     for source, target in keys:
         succ[source][target] = None
         pred[target][source] = None
 
     ids, features_col = _entity_columns(diff["changed_nodes"], 1)
     for node_id, features in zip(ids, features_col):
-        nodes[node_id] = Node(node_id, nodes[node_id].kind, features)
+        nodes[node_id] = _node(node_id, nodes[node_id].kind, features)
     sources, targets, labels, features_col = _entity_columns(diff["changed_edges"], 3)
-    edges.update(
-        zip(zip(sources, targets), _build_edges(sources, targets, labels, features_col))
-    )
+    edges.update(zip(zip(sources, targets), map(_edge, sources, targets, labels, features_col)))
     return rebuilt
 
 

@@ -29,6 +29,25 @@ Design notes
   enabled) a bounded delta log, so compiled views and caches can maintain
   themselves incrementally instead of recompiling per version bump.  Event
   construction is skipped entirely while nobody is listening.
+* Whole graphs are built through one path, :meth:`PropertyGraph.from_rows`:
+  decoding (:func:`~repro.graph.serialization.graph_from_dict`, the pool
+  wire, paged SQLite loads), :meth:`~PropertyGraph.subgraph` and
+  :meth:`~PropertyGraph.reverse` all hand it rows.  It makes the checks
+  :meth:`~PropertyGraph.add_node` / :meth:`~PropertyGraph.add_edge` make,
+  raises the same exception types, and ends at the same :attr:`version`,
+  but fills the containers directly: a fresh graph has no observers, so
+  there is no delta to build and no per-element method call to pay.
+  :meth:`~PropertyGraph.copy` skips even the checks — its source is already
+  valid — and copies the adjacency dicts wholesale.
+* ``Node`` and ``Edge`` are frozen dataclasses, but every construction path
+  in this module builds them with :func:`_node` / :func:`_edge`, which set
+  each field through ``object.__setattr__`` — what the dataclass
+  ``__init__`` does, minus its keyword handling.  Filling
+  ``instance.__dict__`` instead is a little faster per object but costs
+  memory: touching ``__dict__`` materializes a dict per instance where the
+  attributes otherwise live inline (about 240 vs 105 bytes per ``Edge``
+  under ``tracemalloc`` on CPython 3.11), and a restart holds every edge
+  of every loaded graph.
 """
 
 from __future__ import annotations
@@ -80,7 +99,7 @@ class Node:
 
     def with_features(self, features: Mapping[str, Any]) -> "Node":
         """Return a copy of this node with ``features`` replacing the old ones."""
-        return Node(node_id=self.node_id, kind=self.kind, features=dict(features))
+        return _node(self.node_id, self.kind, dict(features))
 
 
 @dataclass(frozen=True)
@@ -99,7 +118,30 @@ class Edge:
 
     def reversed(self) -> "Edge":
         """Return the same edge pointing the other way (used for bi-directional links)."""
-        return Edge(source=self.target, target=self.source, label=self.label, features=dict(self.features))
+        return _edge(self.target, self.source, self.label, dict(self.features))
+
+
+_new_instance = object.__new__
+_set_field = object.__setattr__
+
+
+def _node(node_id: NodeId, kind: Optional[str], features: Mapping[str, Any]) -> Node:
+    """A :class:`Node` equal to ``Node(node_id, kind, features)``, built without ``__init__``."""
+    node = _new_instance(Node)
+    _set_field(node, "node_id", node_id)
+    _set_field(node, "kind", kind)
+    _set_field(node, "features", features)
+    return node
+
+
+def _edge(source: NodeId, target: NodeId, label: Optional[str], features: Mapping[str, Any]) -> Edge:
+    """An :class:`Edge` equal to ``Edge(source, target, label, features)``, built without ``__init__``."""
+    edge = _new_instance(Edge)
+    _set_field(edge, "source", source)
+    _set_field(edge, "target", target)
+    _set_field(edge, "label", label)
+    _set_field(edge, "features", features)
+    return edge
 
 
 class PropertyGraph:
@@ -370,7 +412,7 @@ class PropertyGraph:
         existing = self._nodes.get(node_id)
         if existing is not None and not replace:
             raise DuplicateNodeError(node_id)
-        node = Node(node_id=node_id, kind=kind, features=normalize_features(features))
+        node = _node(node_id, kind, normalize_features(features))
         self._nodes[node_id] = node
         self._succ.setdefault(node_id, {})
         self._pred.setdefault(node_id, {})
@@ -468,7 +510,7 @@ class PropertyGraph:
         existing = self._edges.get(key)
         if existing is not None and not replace:
             raise DuplicateEdgeError(source, target)
-        edge = Edge(source=source, target=target, label=label, features=normalize_features(features))
+        edge = _edge(source, target, label, normalize_features(features))
         self._edges[key] = edge
         self._succ[source][target] = None
         self._pred[target][source] = None
@@ -643,33 +685,91 @@ class PropertyGraph:
     # ------------------------------------------------------------------ #
     # whole-graph operations
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_rows(
+        cls,
+        nodes: Iterable[Tuple[NodeId, Optional[str], Optional[Mapping[str, Any]]]],
+        edges: Iterable[Tuple[NodeId, NodeId, Optional[str], Optional[Mapping[str, Any]]]],
+        *,
+        name: Optional[str] = None,
+    ) -> "PropertyGraph":
+        """Build a graph from ``(id, kind, features)`` and ``(source, target, label, features)`` rows.
+
+        The result equals — node order, edge order, every adjacency order
+        and :attr:`version` included — a graph built by calling
+        :meth:`add_node` per node row and then :meth:`add_edge` per edge
+        row, and a malformed row raises what that call would raise
+        (:class:`DuplicateNodeError`, :class:`DuplicateEdgeError`,
+        :class:`NodeNotFoundError`, ``ValueError`` for a self-loop,
+        ``TypeError`` for non-mapping features or an unhashable id).  Rows
+        are consumed lazily, nodes first, so a paged source stays paged.
+        """
+        graph = cls(name=name)
+        node_map, edge_map, succ, pred = graph._nodes, graph._edges, graph._succ, graph._pred
+        for node_id, kind, features in nodes:
+            if node_id in node_map:
+                raise DuplicateNodeError(node_id)
+            node_map[node_id] = _node(node_id, kind, normalize_features(features))
+            succ[node_id] = {}
+            pred[node_id] = {}
+        for source, target, label, features in edges:
+            if source == target:
+                raise ValueError(f"self-loops are not supported (node {source!r})")
+            if source not in node_map:
+                raise NodeNotFoundError(source)
+            if target not in node_map:
+                raise NodeNotFoundError(target)
+            key = (source, target)
+            if key in edge_map:
+                raise DuplicateEdgeError(source, target)
+            edge_map[key] = _edge(source, target, label, normalize_features(features))
+            succ[source][target] = None
+            pred[target][source] = None
+        graph._version = len(node_map) + len(edge_map)
+        return graph
+
     def copy(self, name: Optional[str] = None) -> "PropertyGraph":
-        """Deep-enough copy: new container, new feature dicts."""
+        """Deep-enough copy: new container, new feature dicts.
+
+        Equal to rebuilding the graph through :meth:`from_rows` (same
+        orders, same :attr:`version`), but the adjacency dicts — whose
+        orders already follow edge order — are copied wholesale.
+        """
         clone = PropertyGraph(name=name if name is not None else self.name)
-        for node in self._nodes.values():
-            clone.add_node(node.node_id, kind=node.kind, features=dict(node.features))
-        for edge in self._edges.values():
-            clone.add_edge(edge.source, edge.target, label=edge.label, features=dict(edge.features))
+        clone._nodes = {
+            node_id: _node(node_id, node.kind, dict(node.features))
+            for node_id, node in self._nodes.items()
+        }
+        clone._edges = {
+            key: _edge(edge.source, edge.target, edge.label, dict(edge.features))
+            for key, edge in self._edges.items()
+        }
+        clone._succ = {node_id: adjacency.copy() for node_id, adjacency in self._succ.items()}
+        clone._pred = {node_id: adjacency.copy() for node_id, adjacency in self._pred.items()}
+        clone._version = len(clone._nodes) + len(clone._edges)
         return clone
 
     def subgraph(self, node_ids: Iterable[NodeId], name: Optional[str] = None) -> "PropertyGraph":
         """The induced subgraph over ``node_ids`` (unknown ids are ignored)."""
-        keep = {node_id for node_id in node_ids if node_id in self._nodes}
-        result = PropertyGraph(name=name)
-        for node_id in self._nodes:
-            if node_id in keep:
-                node = self._nodes[node_id]
-                result.add_node(node.node_id, kind=node.kind, features=dict(node.features))
-        for (source, target), edge in self._edges.items():
-            if source in keep and target in keep:
-                result.add_edge(source, target, label=edge.label, features=dict(edge.features))
-        return result
+        keep = set(node_ids)
+        return PropertyGraph.from_rows(
+            (
+                (node_id, node.kind, node.features)
+                for node_id, node in self._nodes.items()
+                if node_id in keep
+            ),
+            (
+                (source, target, edge.label, edge.features)
+                for (source, target), edge in self._edges.items()
+                if source in keep and target in keep
+            ),
+            name=name,
+        )
 
     def reverse(self, name: Optional[str] = None) -> "PropertyGraph":
         """A copy of the graph with every edge reversed."""
-        result = PropertyGraph(name=name if name is not None else self.name)
-        for node in self._nodes.values():
-            result.add_node(node.node_id, kind=node.kind, features=dict(node.features))
-        for edge in self._edges.values():
-            result.add_edge(edge.target, edge.source, label=edge.label, features=dict(edge.features))
-        return result
+        return PropertyGraph.from_rows(
+            ((node_id, node.kind, node.features) for node_id, node in self._nodes.items()),
+            ((edge.target, edge.source, edge.label, edge.features) for edge in self._edges.values()),
+            name=name if name is not None else self.name,
+        )

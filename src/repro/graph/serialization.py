@@ -45,20 +45,33 @@ def graph_to_dict(graph: PropertyGraph) -> Dict[str, Any]:
 
 
 def graph_from_dict(payload: Dict[str, Any]) -> PropertyGraph:
-    """Rebuild a graph from :func:`graph_to_dict` output."""
+    """Rebuild a graph from :func:`graph_to_dict` output.
+
+    Every malformed payload raises a :class:`~repro.exceptions.GraphError`:
+    the graph-level ones (duplicate node or edge, dangling endpoint) keep
+    their own subclass, and the rest — a row that is not an object or
+    lacks its id, an unhashable id, non-object features, a self-loop —
+    arrive as a plain ``GraphError`` naming the cause.
+    """
     if not isinstance(payload, dict) or "nodes" not in payload or "edges" not in payload:
         raise GraphError("payload is not a serialised PropertyGraph (missing 'nodes'/'edges')")
-    graph = PropertyGraph(name=payload.get("name"))
-    for node in payload["nodes"]:
-        graph.add_node(node["id"], kind=node.get("kind"), features=node.get("features") or {})
-    for edge in payload["edges"]:
-        graph.add_edge(
-            edge["source"],
-            edge["target"],
-            label=edge.get("label"),
-            features=edge.get("features") or {},
+    try:
+        return PropertyGraph.from_rows(
+            (
+                (node["id"], node.get("kind"), node.get("features") or {})
+                for node in payload["nodes"]
+            ),
+            (
+                (edge["source"], edge["target"], edge.get("label"), edge.get("features") or {})
+                for edge in payload["edges"]
+            ),
+            name=payload.get("name"),
         )
-    return graph
+    except GraphError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise GraphError(f"malformed graph payload: {detail}") from exc
 
 
 def graph_to_json(graph: PropertyGraph, *, indent: int = 2) -> str:

@@ -121,7 +121,6 @@ def pack_graph(graph: PropertyGraph) -> Dict[str, Any]:
 
 def unpack_graph(payload: Dict[str, Any]) -> PropertyGraph:
     """Rebuild a graph from :func:`pack_graph` output, insertion order intact."""
-    graph = PropertyGraph(name=payload["name"])
     node_count = payload["nn"]
     nodes = payload["nodes"]
     if isinstance(nodes, dict):
@@ -130,8 +129,6 @@ def unpack_graph(payload: Dict[str, Any]) -> PropertyGraph:
     else:
         ids = [row[0] for row in nodes]
         kinds = [row[1] for row in nodes]
-    for node_id, kind, features in zip(ids, kinds, payload["node_features"]):
-        graph.add_node(node_id, kind=kind, features=features)
 
     edge_count = payload["ne"]
     edges = payload["edges"]
@@ -143,11 +140,11 @@ def unpack_graph(payload: Dict[str, Any]) -> PropertyGraph:
         sources = [row[0] for row in edges]
         targets = [row[1] for row in edges]
         labels = [row[2] for row in edges]
-    for source, target, label, features in zip(
-        sources, targets, labels, payload["edge_features"]
-    ):
-        graph.add_edge(source, target, label=label, features=features)
-    return graph
+    return PropertyGraph.from_rows(
+        zip(ids, kinds, payload["node_features"]),
+        zip(sources, targets, labels, payload["edge_features"]),
+        name=payload["name"],
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -50,7 +50,6 @@ from repro.api.service import ProtectionService
 from repro.core.policy import ReleasePolicy
 from repro.exceptions import ReproError, StaleReplicaError
 from repro.graph.model import PropertyGraph
-from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.replication.wire import VECTOR_HEADER
 from repro.security.enforcement import EnforcementMode, QueryEnforcer
 from repro.server.admission import DEFAULT_MAX_INFLIGHT, DEFAULT_MAX_QUEUE, AdmissionController
@@ -740,7 +739,7 @@ class ProtectionServer:
             else:
                 # The session owns a private copy: edits must never mutate
                 # the digest-shared graph other requests are served from.
-                graph = graph_from_dict(graph_to_dict(shared_graph))
+                graph = shared_graph.copy()
             policy = build_policy(body)
             service = self.registry.service(tenant, graph, policy)
             self._attach_serving_stats(tenant, service)

@@ -8,7 +8,7 @@ this package provides the equivalent substrate in pure Python:
 * :mod:`repro.store.wal` — an append-only write log with replay;
 * :mod:`repro.store.storage` — durable named-graph storage (JSON snapshots
   + log), or fully in-memory operation;
-* :mod:`repro.store.index` — adjacency and feature indexes;
+* :mod:`repro.store.index` — the feature index;
 * :mod:`repro.store.transactions` — atomic multi-operation batches;
 * :mod:`repro.store.catalog` — the named-graph catalog;
 * :mod:`repro.store.engine` — the :class:`~repro.store.engine.GraphStore`
@@ -23,7 +23,7 @@ from repro.store.engine import STORE_ENGINES, GraphStore, PhaseTimer, StoreStats
 from repro.store.storage import GraphStorage, RecoveryReport
 from repro.store.transactions import Transaction
 from repro.store.catalog import Catalog, GraphDescriptor
-from repro.store.index import AdjacencyIndex, FeatureIndex
+from repro.store.index import FeatureIndex
 from repro.store.wal import WriteAheadLog, LogRecord
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "Transaction",
     "Catalog",
     "GraphDescriptor",
-    "AdjacencyIndex",
     "FeatureIndex",
     "WriteAheadLog",
     "LogRecord",

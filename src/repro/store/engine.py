@@ -1,7 +1,7 @@
 """The :class:`GraphStore` facade and its phase-timing instrumentation.
 
 The store engine is what the PLUS substrate and the Figure-10 benchmark talk
-to: named graphs with logged mutations, adjacency/feature indexes, simple
+to: named graphs with logged mutations, a lazily built feature index, simple
 transactions and a :class:`PhaseTimer` that records how long each phase of
 an operation takes (the paper's "DB Access" / "Build Graph" / "Protect via
 Hide" / "Protect via Surrogate" bars).
@@ -46,7 +46,7 @@ def detect_engine(directory: Optional[Union[str, Path]]) -> str:
     return "sqlite" if (Path(directory) / DATABASE_NAME).exists() else "file"
 from repro.graph.model import NodeId, PropertyGraph
 from repro.graph.traversal import ancestors, descendants
-from repro.store.index import AdjacencyIndex, FeatureIndex
+from repro.store.index import FeatureIndex
 from repro.store.io import StorageIO
 from repro.store.storage import GraphStorage
 from repro.store.transactions import Transaction, apply_to, validate_operations
@@ -193,15 +193,10 @@ class GraphStore:
         #: transient ``OSError`` surfaces as one retried operation instead of
         #: a failed request.  ``None`` runs every write exactly once.
         self.retry = retry
-        self._adjacency: Dict[str, AdjacencyIndex] = {}
+        # Feature indexes build on a graph's first ``find_nodes`` and are
+        # maintained by the mutators from then on; opening a store builds
+        # none.  Adjacency queries read the stored graph's own index.
         self._features: Dict[str, FeatureIndex] = {}
-        # Eagerly index only what recovery materialized.  The SQLite engine
-        # loads graphs lazily (paged, on first use), so forcing every graph
-        # resident here would defeat the out-of-core path; indexes for
-        # lazily loaded graphs build on first query via ``_index_for``.
-        resident = getattr(self.storage, "resident_names", self.storage.names)
-        for name in resident():
-            self._rebuild_indexes(name)
 
     def _durable(self, operation: Callable[[], object]) -> object:
         """Run one durable write, through the retry policy when configured."""
@@ -255,8 +250,7 @@ class GraphStore:
             )
         self._stamp_tenant(name)
         self._durable(self.storage.save_catalog)
-        self._adjacency[name] = AdjacencyIndex()
-        self._features[name] = FeatureIndex()
+        self._features.pop(name, None)
         return name
 
     def put_graph(self, graph: PropertyGraph, *, name: Optional[str] = None) -> str:
@@ -270,7 +264,7 @@ class GraphStore:
             )
         self._stamp_tenant(stored_name)
         self.storage.save_catalog()
-        self._rebuild_indexes(stored_name)
+        self._features.pop(stored_name, None)
         self.stats.nodes_written += graph.node_count()
         self.stats.edges_written += graph.edge_count()
         return stored_name
@@ -280,7 +274,6 @@ class GraphStore:
         self._require_writable("drop a graph")
         with self.timer.phase("db_access"):
             self.storage.drop_graph(name)
-        self._adjacency.pop(name, None)
         self._features.pop(name, None)
 
     def graph(self, name: str) -> PropertyGraph:
@@ -356,8 +349,9 @@ class GraphStore:
                 )
             )
             graph.add_node(node_id, kind=kind, features=features)
-        self._index_for(graph_name).add_node(node_id)
-        self._feature_index_for(graph_name).index_node(node_id, dict(features or {}))
+        index = self._features.get(graph_name)
+        if index is not None:
+            index.index_node(node_id, dict(features or {}))
         self.stats.nodes_written += 1
         self._refresh(graph_name)
 
@@ -390,7 +384,6 @@ class GraphStore:
                 )
             )
             graph.add_edge(source, target, label=label, features=features)
-        self._index_for(graph_name).add_edge(source, target)
         self.stats.edges_written += 1
         self._refresh(graph_name)
 
@@ -405,8 +398,9 @@ class GraphStore:
                 lambda: self.storage.log("remove_node", graph_name, {"id": node_id})
             )
             graph.remove_node(node_id)
-        self._index_for(graph_name).remove_node(node_id)
-        self._feature_index_for(graph_name).remove_node(node_id)
+        index = self._features.get(graph_name)
+        if index is not None:
+            index.remove_node(node_id)
         self._refresh(graph_name)
 
     def remove_edge(self, graph_name: str, source: NodeId, target: NodeId) -> None:
@@ -422,7 +416,6 @@ class GraphStore:
                 )
             )
             graph.remove_edge(source, target)
-        self._index_for(graph_name).remove_edge(source, target)
         self._refresh(graph_name)
 
     def set_node_features(self, graph_name: str, node_id: NodeId, features: Mapping[str, Any]) -> None:
@@ -438,7 +431,9 @@ class GraphStore:
                 )
             )
             graph.set_node_features(node_id, features)
-        self._feature_index_for(graph_name).index_node(node_id, dict(features))
+        index = self._features.get(graph_name)
+        if index is not None:
+            index.index_node(node_id, dict(features))
 
     # ------------------------------------------------------------------ #
     # transactions
@@ -471,7 +466,7 @@ class GraphStore:
                 # one interval re-encode — not one per operation.
                 with graph.batch():
                     apply_to(graph, transaction.operations)
-            self._rebuild_indexes(graph_name)
+            self._features.pop(graph_name, None)
             self.stats.transactions_committed += 1
             self.stats.nodes_written += sum(
                 1 for entry in applied if entry["op"] == "add_node"
@@ -487,19 +482,24 @@ class GraphStore:
     # queries
     # ------------------------------------------------------------------ #
     def successors(self, graph_name: str, node_id: NodeId) -> Set[NodeId]:
-        """Indexed successor lookup."""
+        """Successors of ``node_id`` in the stored graph (empty for an unknown node)."""
         self.stats.queries_answered += 1
-        return self._index_for(graph_name).successors(node_id)
+        graph = self.storage.graph(graph_name)
+        return graph.successors(node_id) if graph.has_node(node_id) else set()
 
     def predecessors(self, graph_name: str, node_id: NodeId) -> Set[NodeId]:
-        """Indexed predecessor lookup."""
+        """Predecessors of ``node_id`` in the stored graph (empty for an unknown node)."""
         self.stats.queries_answered += 1
-        return self._index_for(graph_name).predecessors(node_id)
+        graph = self.storage.graph(graph_name)
+        return graph.predecessors(node_id) if graph.has_node(node_id) else set()
 
     def find_nodes(self, graph_name: str, attribute: str, value: Any) -> Set[NodeId]:
         """Feature-index lookup: nodes whose ``attribute`` equals ``value``."""
         self.stats.queries_answered += 1
-        return self._feature_index_for(graph_name).lookup(attribute, value)
+        index = self._features.get(graph_name)
+        if index is None:
+            index = self._features[graph_name] = FeatureIndex.build(self.storage.graph(graph_name))
+        return index.lookup(attribute, value)
 
     def lineage(
         self, graph_name: str, node_id: NodeId, *, direction: str = "ancestors"
@@ -590,21 +590,6 @@ class GraphStore:
         """Mutate only; callers persist via ``storage.save_catalog()``."""
         if self.tenant is not None:
             self.storage.catalog.get(graph_name).metadata["tenant"] = self.tenant
-
-    def _index_for(self, graph_name: str) -> AdjacencyIndex:
-        if graph_name not in self._adjacency:
-            self._rebuild_indexes(graph_name)
-        return self._adjacency[graph_name]
-
-    def _feature_index_for(self, graph_name: str) -> FeatureIndex:
-        if graph_name not in self._features:
-            self._rebuild_indexes(graph_name)
-        return self._features[graph_name]
-
-    def _rebuild_indexes(self, graph_name: str) -> None:
-        graph = self.storage.graph(graph_name)
-        self._adjacency[graph_name] = AdjacencyIndex.build(graph)
-        self._features[graph_name] = FeatureIndex.build(graph)
 
     def _refresh(self, graph_name: str) -> None:
         graph = self.storage.graph(graph_name)

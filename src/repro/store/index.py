@@ -1,80 +1,19 @@
-"""Secondary indexes over a stored graph.
+"""The secondary feature index over a stored graph.
 
-Two indexes are maintained by the store engine for each graph:
-
-* :class:`AdjacencyIndex` — successor/predecessor sets, kept incrementally so
-  lineage queries on large stored graphs do not have to scan the edge list;
-* :class:`FeatureIndex` — (attribute, value) → node ids, supporting the
-  feature-lookup queries used by the examples ("find every node whose
-  ``role`` is ``person``").
-
-Both are rebuildable from the graph, which is how the storage layer restores
-them after loading a snapshot.
+:class:`FeatureIndex` maps (attribute, value) → node ids, supporting the
+feature-lookup queries used by the examples ("find every node whose
+``role`` is ``person``").  The store engine builds it from the graph on a
+graph's first lookup and maintains it incrementally from then on.
+Adjacency needs no index of its own: the stored
+:class:`~repro.graph.model.PropertyGraph` already keeps both directions.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from repro.graph.model import NodeId, PropertyGraph
-
-
-class AdjacencyIndex:
-    """Incremental successor/predecessor index."""
-
-    def __init__(self) -> None:
-        self._successors: Dict[NodeId, Set[NodeId]] = defaultdict(set)
-        self._predecessors: Dict[NodeId, Set[NodeId]] = defaultdict(set)
-
-    @classmethod
-    def build(cls, graph: PropertyGraph) -> "AdjacencyIndex":
-        """Build the index from scratch for an existing graph."""
-        index = cls()
-        for edge in graph.edges():
-            index.add_edge(edge.source, edge.target)
-        for node_id in graph.node_ids():
-            index.add_node(node_id)
-        return index
-
-    def add_node(self, node_id: NodeId) -> None:
-        self._successors.setdefault(node_id, set())
-        self._predecessors.setdefault(node_id, set())
-
-    def remove_node(self, node_id: NodeId) -> None:
-        for successor in self._successors.pop(node_id, set()):
-            self._predecessors[successor].discard(node_id)
-        for predecessor in self._predecessors.pop(node_id, set()):
-            self._successors[predecessor].discard(node_id)
-
-    def add_edge(self, source: NodeId, target: NodeId) -> None:
-        self._successors[source].add(target)
-        self._predecessors[target].add(source)
-        self._successors.setdefault(target, set())
-        self._predecessors.setdefault(source, set())
-
-    def remove_edge(self, source: NodeId, target: NodeId) -> None:
-        self._successors.get(source, set()).discard(target)
-        self._predecessors.get(target, set()).discard(source)
-
-    def successors(self, node_id: NodeId) -> Set[NodeId]:
-        return set(self._successors.get(node_id, set()))
-
-    def predecessors(self, node_id: NodeId) -> Set[NodeId]:
-        return set(self._predecessors.get(node_id, set()))
-
-    def degree(self, node_id: NodeId) -> int:
-        return len(self._successors.get(node_id, set())) + len(self._predecessors.get(node_id, set()))
-
-    def consistent_with(self, graph: PropertyGraph) -> bool:
-        """True when the index matches the graph exactly (used in tests)."""
-        for node_id in graph.node_ids():
-            if self.successors(node_id) != graph.successors(node_id):
-                return False
-            if self.predecessors(node_id) != graph.predecessors(node_id):
-                return False
-        indexed_nodes = set(self._successors) | set(self._predecessors)
-        return indexed_nodes == set(graph.node_ids())
 
 
 class FeatureIndex:

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict
+from typing import Any, Dict, Iterator
 
 from repro.graph.model import PropertyGraph
 from repro.store.sqlite.connection import Database
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 #: Default rows per fetched page; small enough to bound memory, large
 #: enough that per-page overhead is noise.
@@ -56,6 +53,19 @@ def encode_id(node_id: Any) -> str:
     return json.dumps(node_id, sort_keys=True, default=str)
 
 
+def _paged_rows(db: Database, sql: str, name: str, page_rows: int, stats: PagingStats) -> Iterator[tuple]:
+    """One query's rows, fetched ``page_rows`` at a time once iteration starts."""
+    cursor = db.execute(sql, (name,))
+    while True:
+        page = cursor.fetchmany(page_rows)
+        if not page:
+            return
+        stats.pages_fetched += 1
+        stats.rows_streamed += len(page)
+        stats.peak_page_rows = max(stats.peak_page_rows, len(page))
+        yield from page
+
+
 def load_graph_paged(
     db: Database,
     name: str,
@@ -63,37 +73,27 @@ def load_graph_paged(
     page_rows: int,
     stats: PagingStats,
 ) -> PropertyGraph:
-    """Rebuild one graph from its snapshot rows, one page at a time."""
-    graph = PropertyGraph(name=name)
-    cursor = db.execute(
-        "SELECT id, kind, features FROM nodes WHERE graph = ? ORDER BY position",
-        (name,),
+    """Rebuild one graph from its snapshot rows, one page at a time.
+
+    :meth:`PropertyGraph.from_rows` pulls rows as it builds, so the edge
+    query starts only once every node row is in, and at most one page of
+    row tuples is resident at any instant.
+    """
+    nodes = _paged_rows(
+        db, "SELECT id, kind, features FROM nodes WHERE graph = ? ORDER BY position", name, page_rows, stats
     )
-    while True:
-        page = cursor.fetchmany(page_rows)
-        if not page:
-            break
-        stats.pages_fetched += 1
-        stats.rows_streamed += len(page)
-        stats.peak_page_rows = max(stats.peak_page_rows, len(page))
-        for id_text, kind, features in page:
-            graph.add_node(decode_id(id_text), kind=kind, features=json.loads(features))
-    cursor = db.execute(
+    edges = _paged_rows(
+        db,
         "SELECT source, target, label, features FROM edges WHERE graph = ? ORDER BY position",
-        (name,),
+        name,
+        page_rows,
+        stats,
     )
-    while True:
-        page = cursor.fetchmany(page_rows)
-        if not page:
-            break
-        stats.pages_fetched += 1
-        stats.rows_streamed += len(page)
-        stats.peak_page_rows = max(stats.peak_page_rows, len(page))
-        for source, target, label, features in page:
-            graph.add_edge(
-                decode_id(source),
-                decode_id(target),
-                label=label,
-                features=json.loads(features),
-            )
-    return graph
+    return PropertyGraph.from_rows(
+        ((decode_id(node_id), kind, json.loads(features)) for node_id, kind, features in nodes),
+        (
+            (decode_id(source), decode_id(target), label, json.loads(features))
+            for source, target, label, features in edges
+        ),
+        name=name,
+    )

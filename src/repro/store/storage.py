@@ -88,7 +88,8 @@ class RecoveryReport:
 
     snapshots_loaded: int = 0
     records_replayed: int = 0
-    #: Snapshot files renamed aside because their JSON would not parse.
+    #: Files renamed aside because they did not decode: not UTF-8, not
+    #: JSON, or (snapshots) not a valid graph.
     quarantined: List[str] = field(default_factory=list)
     #: Orphaned atomic-write temp files removed (crash between stage and rename).
     tmp_files_removed: int = 0
@@ -212,10 +213,6 @@ class GraphStorage:
     def names(self) -> List[str]:
         return self.catalog.names()
 
-    def resident_names(self) -> List[str]:
-        """Graphs held in memory — all of them, on this eager engine."""
-        return list(self._graphs)
-
     # ------------------------------------------------------------------ #
     # logged mutations (called by the engine)
     # ------------------------------------------------------------------ #
@@ -281,7 +278,7 @@ class GraphStorage:
             return
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (UnicodeDecodeError, json.JSONDecodeError):
             # Catalog writes are atomic, so damage here is external; the
             # descriptors are advisory (graphs and accounts still load), so
             # quarantine and continue rather than refuse to open.
@@ -341,16 +338,19 @@ class GraphStorage:
     def _recover(self) -> None:
         """Load snapshots, then replay write-log records on top of them.
 
-        A snapshot whose JSON will not parse is quarantined (renamed aside)
-        and recovery continues: the write log may still rebuild the graph
-        from its ``create_graph`` record, and every other graph in the store
-        stays available instead of one bad file taking the directory down.
+        A snapshot that is not UTF-8 text, whose JSON will not parse, or
+        that does not describe a valid graph (:func:`graph_from_dict` raises
+        :class:`GraphError` for every malformed payload) is quarantined
+        (renamed aside) and recovery continues: the write log may still
+        rebuild the graph from its ``create_graph`` record, and every other
+        graph in the store stays available instead of one bad file taking
+        the directory down.
         """
         assert self.directory is not None
         for snapshot in sorted(self.directory.glob(f"*{_SNAPSHOT_SUFFIX}")):
             try:
                 graph = graph_from_dict(json.loads(self.io.read_text(snapshot)))
-            except (json.JSONDecodeError, GraphError, KeyError, TypeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, GraphError):
                 self._quarantine(snapshot)
                 self.recovery_report.quarantined.append(snapshot.name)
                 continue

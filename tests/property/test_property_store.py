@@ -88,9 +88,9 @@ def test_indexes_stay_consistent_with_graph(operations):
     store.create_graph("g")
     _apply(store, operations)
     graph = store.storage.graph("g")
-    assert store._index_for("g").consistent_with(graph)
     for node in graph.nodes():
         assert store.successors("g", node.node_id) == graph.successors(node.node_id)
+        assert store.predecessors("g", node.node_id) == graph.predecessors(node.node_id)
 
 
 @settings(max_examples=30, deadline=None)

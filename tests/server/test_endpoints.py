@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.api.service import ProtectionService
 from repro.graph.serialization import graph_from_dict
 from repro.security.credentials import Consumer
@@ -107,6 +109,31 @@ def test_missing_graph_and_ref_is_400(client: ApiClient) -> None:
     del body["graph"]
     response = client.post("/v1/protect", body)
     assert response.status == 400
+
+
+#: One malformed row per kind, each appended to an otherwise valid graph.
+MALFORMED_ROWS = {
+    "self-loop-edge": ("edges", {"source": "a", "target": "a"}),
+    "node-without-id": ("nodes", {"kind": "data"}),
+    "non-object-row": ("nodes", "f"),
+    "unhashable-id": ("nodes", {"id": ["f"]}),
+    "list-features": ("nodes", {"id": "f", "features": ["x"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_graph_row_is_400(client: ApiClient, case: str) -> None:
+    payload = small_graph_payload(tag=case)
+    table, row = MALFORMED_ROWS[case]
+    payload[table].append(row)
+    created = client.post("/v1/graphs", {"tenant": "acme", "graph": payload})
+    assert created.status == 400
+    assert created.body["error"]["kind"] == "GraphError"
+    body = protect_body()
+    body["graph"] = payload
+    response = client.post("/v1/protect", body)
+    assert response.status == 400
+    assert response.body["error"]["kind"] == "GraphError"
 
 
 # ---------------------------------------------------------------------- #

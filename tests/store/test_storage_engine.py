@@ -7,10 +7,13 @@ the two backends genuinely cannot share (FTS search syntax, the migration
 reader, quarantine file layout) lives in ``test_sqlite_store.py`` instead.
 """
 
+import json
+
 import pytest
 
 from repro.exceptions import CatalogError, StoreError, TransactionError
 from repro.store.engine import PhaseTimer
+from repro.store.storage import GraphStorage
 
 
 class TestStorageContract:
@@ -302,3 +305,87 @@ class TestPhaseTimer:
         assert timer.as_dict()["total"] >= 7.5
         timer.reset()
         assert timer.total_ms() == 0.0
+
+
+def _append_row(table, row):
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        payload[table].append(row)
+        path.write_text(json.dumps(payload))
+
+    return corrupt
+
+
+def _prepend_non_utf8_byte(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+class TestSnapshotRecovery:
+    """A snapshot that does not decode to a valid graph is quarantined.
+
+    The snapshots are written in the file engine's layout; the SQLite
+    engine reads such a root through its legacy-migration reader, so both
+    engines run the same recovery over them.
+    """
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _append_row("edges", {"source": "a", "target": "a", "label": None, "features": {}}),
+            _append_row("edges", {"source": "a", "target": "ghost", "label": None, "features": {}}),
+            _append_row("nodes", {"kind": "data"}),
+            _append_row("nodes", {"id": "f", "features": ["x"]}),
+            _prepend_non_utf8_byte,
+        ],
+        ids=["self-loop", "dangling-endpoint", "node-without-id", "list-features", "not-utf8"],
+    )
+    def test_invalid_snapshot_is_quarantined_and_siblings_load(
+        self, make_storage, tmp_path, small_graph, corrupt
+    ):
+        legacy = GraphStorage(tmp_path)
+        legacy.put_graph(small_graph, name="good")
+        legacy.put_graph(small_graph, name="bad")
+        bad = legacy._snapshot_path("bad")
+        corrupt(bad)
+
+        reopened = make_storage(tmp_path)
+        assert bad.name in reopened.recovery_report.quarantined
+        assert list(tmp_path.glob(f"{bad.name}.corrupt*"))
+        assert reopened.graph("good") == small_graph
+        assert not reopened.has_graph("bad")
+
+    def test_catalog_that_is_not_text_is_quarantined(self, make_storage, tmp_path, small_graph):
+        legacy = GraphStorage(tmp_path)
+        legacy.put_graph(small_graph, name="good")
+        _prepend_non_utf8_byte(tmp_path / "catalog.json")
+
+        reopened = make_storage(tmp_path)
+        assert "catalog.json" in reopened.recovery_report.quarantined
+        assert reopened.graph("good") == small_graph
+
+
+class TestStoreQueries:
+    def test_adjacency_of_an_unknown_node_is_empty(self, make_store, small_graph):
+        store = make_store()
+        store.put_graph(small_graph, name="demo")
+        assert store.successors("demo", "ghost") == set()
+        assert store.predecessors("demo", "ghost") == set()
+        with pytest.raises(CatalogError):
+            store.successors("nope", "a")
+
+    def test_feature_index_builds_on_first_lookup_and_then_tracks_writes(
+        self, make_store, tmp_path, small_graph
+    ):
+        store = make_store(tmp_path)
+        store.put_graph(small_graph, name="demo")
+        reopened = make_store(tmp_path)
+        assert reopened._features == {}  # opening builds no index
+        assert reopened.find_nodes("demo", "name", "A") == {"a"}
+        reopened.add_node("demo", "f", features={"name": "A"})
+        reopened.set_node_features("demo", "a", {"name": "Z"})
+        assert reopened.find_nodes("demo", "name", "A") == {"f"}
+        reopened.remove_node("demo", "f")
+        assert reopened.find_nodes("demo", "name", "A") == set()
+        with reopened.transaction("demo") as txn:
+            txn.add_node("g", features={"name": "Z"})
+        assert reopened.find_nodes("demo", "name", "Z") == {"a", "g"}

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import CatalogError, StoreError
 from repro.graph.builders import graph_from_edges
 from repro.store.catalog import Catalog
-from repro.store.index import AdjacencyIndex, FeatureIndex
+from repro.store.index import FeatureIndex
 from repro.store.wal import LogRecord, WriteAheadLog
 
 
@@ -85,29 +85,6 @@ class TestCatalog:
         assert payload["nodes"] == 10 and payload["edges"] == 20
         assert catalog.names() == ["g"]
         assert [d.name for d in catalog.descriptors()] == ["g"]
-
-
-class TestAdjacencyIndex:
-    def test_build_matches_graph(self, small_graph):
-        index = AdjacencyIndex.build(small_graph)
-        assert index.successors("b") == {"c", "d"}
-        assert index.predecessors("e") == {"c", "d"}
-        assert index.degree("b") == 3
-        assert index.consistent_with(small_graph)
-
-    def test_incremental_updates(self, small_graph):
-        index = AdjacencyIndex.build(small_graph)
-        index.add_edge("a", "c")
-        assert index.successors("a") == {"b", "c"}
-        index.remove_edge("a", "c")
-        index.remove_node("b")
-        assert index.successors("a") == set()
-        assert "b" not in index.predecessors("c")
-
-    def test_consistency_detects_divergence(self, small_graph):
-        index = AdjacencyIndex.build(small_graph)
-        index.remove_edge("c", "e")
-        assert not index.consistent_with(small_graph)
 
 
 class TestFeatureIndex:
