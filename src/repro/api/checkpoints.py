@@ -42,13 +42,21 @@ The payload is a CRC-guarded two-line text file — a JSON header line
 through the store's :class:`~repro.store.io.StorageIO` seam (atomic temp +
 fsync + rename), so the fault-injection suite covers checkpoint writes like
 any other store write.  Restore speed is the whole point of a checkpoint,
-so the bulky per-node/per-edge tables inside the body are *packed*: rows of
-string fields joined with tabs and newlines inside one JSON string.  A JSON
-parser flies through one long string where it would crawl through 100k
-tokens, and ``str.split`` recovers the rows at C speed — this is what makes
-an 8k-node warm restart an order of magnitude cheaper than a cold
-recompile.  Tables whose fields are not strings (exotic node ids) fall back
-to plain JSON rows, transparently to the reader.
+so the bulky per-node/per-edge tables inside the body are *packed*: fields
+joined with ``|`` (:data:`repro.codec.JSON_SEP`, which JSON leaves
+unescaped) inside one JSON string.  A JSON parser flies through one long
+string where it would crawl through 100k tokens, and ``str.split``
+recovers the rows at C speed.  Tables whose fields are not strings
+(exotic node ids) fall back to plain JSON rows, transparently to the
+reader.
+
+A warm restore also avoids decoding what it already holds.  Tables keyed
+by every node or edge of a graph it has (marking-view defaults and edge
+states, path percentages, opacity weights, per-edge opacity over the
+dropped edges) are written as value groups and rebuilt from the graph's
+own keys, decoding only the small groups; the account's surrogate-edge
+set and identity correspondence are named, not repeated, and rebuilt from
+the account graph.
 """
 
 from __future__ import annotations
@@ -64,13 +72,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.api.persistence import account_from_metadata, account_metadata_to_dict
-from repro.codec import (
-    col_num as _col_num,
-    col_str as _col_str,
-    escape_field as _escape_field,
-    split_num as _split_num,
-    split_str as _split_str,
-)
+from repro.codec import JSON_SEP, col_num, col_str, escape_field, split_num, split_str
 from repro.api.requests import ProtectionRequest
 from repro.api.results import ProtectionResult, ScoreCard
 from repro.core.markings import CompiledMarkingView, EdgeState, Marking
@@ -81,9 +83,9 @@ from repro.core.opacity import (
     adversary_fingerprint,
 )
 from repro.core.utility import UtilityReport
-from repro.exceptions import CorruptionError, StoreError
+from repro.exceptions import CorruptionError, GraphError, ProtectionError, StoreError
 from repro.graph.deltas import record_maintenance
-from repro.graph.model import PropertyGraph, _edge, _node
+from repro.graph.model import PropertyGraph, _edges_from_columns, _node
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.store.wal import LogRecord
 
@@ -92,7 +94,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.engine import GraphStore
 
 #: Version stamp of the checkpoint payload layout.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Suffix of checkpoint files inside the store directory.
 CHECKPOINT_SUFFIX = ".checkpoint.json"
@@ -159,13 +161,14 @@ def _wrap(payload: Dict[str, Any]) -> str:
     return header + "\n" + body
 
 
-def _unwrap(text: str) -> Dict[str, Any]:
+def _unwrap(data: bytes) -> Dict[str, Any]:
     """Parse a framed checkpoint; raises :class:`CorruptionError` on damage.
 
     The header and body are parsed separately (the body is never re-encoded
-    inside a JSON string), so the big payload is tokenised exactly once.
+    inside a JSON string), so the big payload is tokenised exactly once, and
+    the CRC runs over the bytes as read — no decode/re-encode round trip.
     """
-    header_text, sep, body = text.partition("\n")
+    header_text, sep, body = data.partition(b"\n")
     if not sep:
         raise CorruptionError("checkpoint is missing its header line")
     try:
@@ -178,7 +181,7 @@ def _unwrap(text: str) -> Dict[str, Any]:
         raise CorruptionError(
             f"unsupported checkpoint format {header.get('format_version')!r}"
         )
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    crc = zlib.crc32(body) & 0xFFFFFFFF
     if f"{crc:08x}" != header["crc32"]:
         raise CorruptionError("checkpoint failed its CRC check")
     try:
@@ -190,11 +193,27 @@ def _unwrap(text: str) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # packed columns
 # --------------------------------------------------------------------------- #
-# The per-node and per-edge tables dominate a checkpoint (a 2.5 MB payload
+# The per-node and per-edge tables dominate a checkpoint (a 2 MB payload
 # at 8k nodes).  Serialised as JSON rows they cost hundreds of thousands of
 # parser tokens *and* a Python-level loop per row on restore; the packed
 # column codecs (shared with the account-metadata serialiser) live in
-# :mod:`repro.api.columns`.
+# :mod:`repro.codec`.  The body is JSON, so its columns are separated by
+# ``JSON_SEP``, which the JSON parser reads without an escape per field.
+def _col_str(values: List[Any]) -> Optional[str]:
+    return col_str(values, JSON_SEP)
+
+
+def _split_str(text: str, count: int) -> List[Any]:
+    return split_str(text, count, JSON_SEP)
+
+
+def _col_num(values: List[Any]) -> Optional[dict]:
+    return col_num(values, JSON_SEP)
+
+
+def _split_num(spec: dict, count: int) -> Any:
+    return split_num(spec, count, JSON_SEP)
+
 
 
 def _pack_map(mapping: Any) -> Any:
@@ -262,13 +281,54 @@ def _pack_enum_map(mapping: Any) -> Any:
     return {"groups": packed}
 
 
-def _unpack_enum_map(value: Any, by_value: Dict[Any, Any]) -> Dict[Any, Any]:
+def _grouped_table(
+    groups: List[List[Any]],
+    by_value: Dict[Any, Any],
+    group_keys: Any,
+    known_keys: Optional[Any],
+) -> Dict[Any, Any]:
+    """A ``{key: member}`` table from its value groups.
+
+    ``group_keys(group)`` decodes one group's keys.  ``known_keys`` (the
+    graph's own node or edge dict, proven by the caller to hold exactly the
+    table's keys) spares decoding the largest group: the table starts as
+    ``dict.fromkeys(known_keys, member)`` — in graph order, sharing the
+    graph's key objects — and only the other groups are decoded and
+    written over it (``dict.update`` keeps the existing key objects).  The
+    group counts must add up and every decoded key must already be known,
+    or the table is corrupt.
+    """
+    table: Dict[Any, Any] = {}
+    if known_keys is not None and groups:
+        largest = max(groups, key=lambda group: group[1])
+        if sum(group[1] for group in groups) != len(known_keys):
+            raise CorruptionError("table groups do not cover the graph")
+        table = dict.fromkeys(known_keys, by_value[largest[0]])
+        groups = [group for group in groups if group is not largest]
+    for group in groups:
+        table.update(dict.fromkeys(group_keys(group), by_value[group[0]]))
+    if known_keys is not None and len(table) != len(known_keys):
+        raise CorruptionError("table names a key the graph does not have")
+    return table
+
+
+def _node_group_keys(group: List[Any]) -> List[Any]:
+    """The node ids of one ``[value, count, id_col]`` group."""
+    return _split_str(group[2], group[1])
+
+
+def _edge_group_keys(group: List[Any]) -> Any:
+    """The edge keys of one ``[value, count, source_col, target_col]`` group."""
+    return zip(_split_str(group[2], group[1]), _split_str(group[3], group[1]))
+
+
+def _unpack_enum_map(
+    value: Any, by_value: Dict[Any, Any], node_ids: Optional[Any] = None
+) -> Dict[Any, Any]:
+    """Decode a grouped node map; ``node_ids`` names its exact key set."""
     if isinstance(value, list):
         return {key: by_value[v] for key, v in value}
-    table: Dict[Any, Any] = {}
-    for v, count, col in value["groups"]:
-        table.update(dict.fromkeys(_split_str(col, count), by_value[v]))
-    return table
+    return _grouped_table(value["groups"], by_value, _node_group_keys, node_ids)
 
 
 def _pack_enum_edge_map(mapping: Any) -> Any:
@@ -290,14 +350,60 @@ def _pack_enum_edge_map(mapping: Any) -> Any:
     return {"groups": packed}
 
 
-def _unpack_enum_edge_map(value: Any, by_value: Dict[Any, Any]) -> Dict[Any, Any]:
+def _unpack_enum_edge_map(
+    value: Any, by_value: Dict[Any, Any], edge_keys: Optional[Any] = None
+) -> Dict[Any, Any]:
+    """Decode a grouped edge map; ``edge_keys`` names its exact key set."""
     if isinstance(value, list):
         return {(source, target): by_value[v] for source, target, v in value}
-    table: Dict[Any, Any] = {}
-    for v, count, source_col, target_col in value["groups"]:
-        keys = zip(_split_str(source_col, count), _split_str(target_col, count))
-        table.update(dict.fromkeys(keys, by_value[v]))
-    return table
+    return _grouped_table(value["groups"], by_value, _edge_group_keys, edge_keys)
+
+
+def _pack_number_map(mapping: Any, known: Optional[Any], edge_keyed: bool) -> Any:
+    """A ``{key: number}`` map; grouped by value when its keys are ``known``.
+
+    Score and opacity maps hold a handful of distinct values over every
+    node (or every dropped edge).  When the map's keys are exactly
+    ``known`` — keys a restore already holds — in the same order, it is
+    written as value groups (each value as its exact ``repr``), and
+    :func:`_unpack_number_map` given the same keys decodes only the small
+    groups (see :func:`_grouped_table`).  Otherwise, plain columns.
+    """
+    plain = _pack_edge_map if edge_keyed else _pack_map
+    if known is None or len(mapping) != len(known):
+        return plain(mapping)
+    if any(key != known_key for key, known_key in zip(mapping, known)):
+        return plain(mapping)
+    values = list(mapping.values())
+    if all(type(value) is float for value in values):
+        tag = "f"
+    elif all(type(value) is int for value in values):
+        tag = "i"
+    else:
+        return plain(mapping)
+    groups: Dict[str, List[Any]] = {}
+    for key, value in mapping.items():
+        groups.setdefault(repr(value), []).append(key)
+    packed = []
+    for text, keys in groups.items():
+        if edge_keyed:
+            cols = [_col_str([key[0] for key in keys]), _col_str([key[1] for key in keys])]
+        else:
+            cols = [_col_str(keys)]
+        if any(col is None for col in cols):
+            return plain(mapping)
+        packed.append([text, len(keys), *cols])
+    return {"ty": tag, "groups": packed}
+
+
+def _unpack_number_map(value: Any, known: Optional[Any], edge_keyed: bool) -> Dict[Any, Any]:
+    """Decode :func:`_pack_number_map` output; ``known`` as given to it."""
+    if isinstance(value, list) or "groups" not in value:
+        return _unpack_edge_map(value) if edge_keyed else _unpack_map(value)
+    convert = int if value["ty"] == "i" else float
+    by_value = {group[0]: convert(group[0]) for group in value["groups"]}
+    group_keys = _edge_group_keys if edge_keyed else _node_group_keys
+    return _grouped_table(value["groups"], by_value, group_keys, known)
 
 
 def _pack_override_map(mapping: Any) -> Any:
@@ -345,16 +451,32 @@ def _encode_features(features: Dict[str, Any]) -> str:
 
 
 def _pack_entities(rows: List[List[Any]]) -> Any:
-    """Entity rows (head string fields + a trailing features dict), columnar."""
-    head_cols = [
-        _col_str(list(col)) for col in zip(*[row[:-1] for row in rows])
-    ]
-    if any(col is None for col in head_cols):
-        return rows
-    features_col = "\t".join(
-        _escape_field(_encode_features(row[-1])) for row in rows
-    )
+    """Entity rows (head string fields + a trailing features dict), columnar.
+
+    A head column whose rows all hold one value (every surrogate edge's
+    label) is stored once, as ``[value]``; a features column of empty
+    dicts only is stored as ``None``.
+    """
+    head_cols: List[Any] = []
+    for col in zip(*[row[:-1] for row in rows]):
+        if len(set(col)) == 1 and (col[0] is None or isinstance(col[0], str)):
+            head_cols.append([col[0]])
+            continue
+        head_cols.append(_col_str(list(col)))
+        if head_cols[-1] is None:
+            return rows
+    features_col = None
+    if any(row[-1] for row in rows):
+        features_col = JSON_SEP.join(
+            escape_field(_encode_features(row[-1]), JSON_SEP) for row in rows
+        )
     return {"n": len(rows), "cols": head_cols, "f": features_col}
+
+
+def _constant_column(col: Any, count: int) -> List[Any]:
+    if not isinstance(col, list) or len(col) != 1:
+        raise CorruptionError(f"entity column {col!r} is neither packed nor constant")
+    return col * count
 
 
 def _entity_columns(value: Any, width: int) -> List[List[Any]]:
@@ -366,14 +488,20 @@ def _entity_columns(value: Any, width: int) -> List[List[Any]]:
     count = value["n"]
     if count == 0:
         return [[] for _ in range(width + 1)]
-    cols = [_split_str(col, count) for col in value["cols"]]
+    cols = [
+        _split_str(col, count) if isinstance(col, str) else _constant_column(col, count)
+        for col in value["cols"]
+    ]
     if len(cols) != width:
         raise CorruptionError(
             f"entity table holds {len(cols)} columns where {width} were expected"
         )
-    features = [
-        json.loads(text) if text else {} for text in _split_str(value["f"], count)
-    ]
+    if value["f"] is None:
+        features = [{} for _ in range(count)]
+    else:
+        features = [
+            json.loads(text) if text else {} for text in _split_str(value["f"], count)
+        ]
     return [*cols, features]
 
 
@@ -449,6 +577,8 @@ def _marking_view_from_dict(
     graph: PropertyGraph,
     policy: object,
     privilege: object,
+    *,
+    graph_unchanged: bool = False,
 ) -> CompiledMarkingView:
     """Rebuild a compiled marking view from its serialised tables.
 
@@ -456,7 +586,9 @@ def _marking_view_from_dict(
     filled straight from the payload — and stamped *current* for ``graph``
     and ``policy``; the caller is responsible for having proven that the
     tables actually describe the graph's present (warm path) or for patching
-    them forward (catch-up path) before handing the view out.
+    them forward (catch-up path) before handing the view out.  On the warm
+    path (``graph_unchanged``) the node and edge tables are keyed by the
+    graph's own ids and edge keys rather than decoded copies.
     """
     markings = getattr(policy, "markings", policy)
     view = CompiledMarkingView.__new__(CompiledMarkingView)
@@ -465,24 +597,35 @@ def _marking_view_from_dict(
     view.graph_version = graph.version
     view.policy_version = markings.version
     view._policy = markings
-    view.node_default = _unpack_enum_map(payload["node_default"], _MARKING_BY_VALUE)
+    view.node_default = _unpack_enum_map(
+        payload["node_default"],
+        _MARKING_BY_VALUE,
+        graph._nodes if graph_unchanged else None,
+    )
     view._overrides = _unpack_override_map(payload["overrides"])
     view.edge_state_table = _unpack_enum_edge_map(
-        payload["edge_states"], _EDGE_STATE_BY_VALUE
+        payload["edge_states"],
+        _EDGE_STATE_BY_VALUE,
+        graph._edges if graph_unchanged else None,
     )
     record_maintenance("marking_view", "restored")
     return view
 
 
-def _opacity_view_to_dict(view: CompiledOpacityView) -> Dict[str, Any]:
-    """Serialise a compiled opacity view, exact-Fraction totals included."""
+def _opacity_view_to_dict(
+    view: CompiledOpacityView, account_nodes: Optional[Any] = None
+) -> Dict[str, Any]:
+    """Serialise a compiled opacity view, exact-Fraction totals included.
+
+    ``account_nodes`` (the account graph's node dict) lets the weight maps
+    be written as value groups (see :func:`_pack_number_map`).
+    """
     return {
         "node_count": view.node_count,
-        "focus_weights": _pack_map(view.focus_weights),
-        "inference_weights": _pack_map(view.inference_weights),
+        "focus_weights": _pack_number_map(view.focus_weights, account_nodes, False),
+        "inference_weights": _pack_number_map(view.inference_weights, account_nodes, False),
         "total_focus": view.total_focus,
         "total_inference": view.total_inference,
-        "guess_denominators": _pack_map(view.denominators()),
         "total_focus_exact": str(view._total_focus_exact),
         "total_inference_exact": str(view._total_inference_exact),
         "inference_value_counts": _pack_pairs(view._inference_value_counts),
@@ -501,14 +644,18 @@ def _opacity_view_from_dict(
     view = CompiledOpacityView(
         graph_version=account_graph.version,
         node_count=payload["node_count"],
-        focus_weights=_unpack_map(payload["focus_weights"]),
-        inference_weights=_unpack_map(payload["inference_weights"]),
+        focus_weights=_unpack_number_map(
+            payload["focus_weights"], account_graph._nodes, False
+        ),
+        inference_weights=_unpack_number_map(
+            payload["inference_weights"], account_graph._nodes, False
+        ),
         total_focus=payload["total_focus"],
         total_inference=payload["total_inference"],
         # The leave-one-out denominators are derived state: rebuilt from the
         # exact total and the weight-value multiset on first read (the same
-        # stale-refresh path every patched copy uses), bit-identical to the
-        # persisted column — so restore skips decoding the largest map.
+        # stale-refresh path every patched copy uses), so the largest map
+        # of the view is never persisted.
         guess_denominators={},
         _denominators_stale=True,
         adversary_key=adversary_fingerprint(effective),
@@ -603,7 +750,7 @@ def _encode_diff(diff: Dict[str, Any]) -> Dict[str, Any]:
 
 def _apply_graph_diff(
     base: PropertyGraph, diff: Dict[str, Any], name: Optional[str]
-) -> PropertyGraph:
+) -> Tuple[PropertyGraph, List[Tuple[Any, Any]], List[Tuple[Any, Any]]]:
     """Rebuild an account graph: clone ``base`` structurally, apply the diff.
 
     ``Node`` and ``Edge`` are immutable value objects, so the clone shares
@@ -612,29 +759,40 @@ def _apply_graph_diff(
     mutators, which would re-normalise every feature dict and drive the
     delta machinery for a graph nothing is observing yet.  O(V+E) dict
     copies plus O(Δ) construction, with none of the per-call typing tax.
+    Returns the graph and the key tuples of the added and of the removed
+    edges, in diff order, which the caller can share rather than decode
+    the same keys again.
     """
+    removed_nodes = diff["removed_nodes"]
+    if isinstance(removed_nodes, dict):
+        removed_nodes = _split_str(removed_nodes["t"], removed_nodes["n"])
+    dropped = set(removed_nodes)
     rebuilt = PropertyGraph(name=name)
-    rebuilt._nodes = dict(base._nodes)
-    rebuilt._edges = dict(base._edges)
-    rebuilt._succ = {node: adj.copy() for node, adj in base._succ.items()}
-    rebuilt._pred = {node: adj.copy() for node, adj in base._pred.items()}
-    nodes, edges, succ, pred = rebuilt._nodes, rebuilt._edges, rebuilt._succ, rebuilt._pred
+    nodes = rebuilt._nodes = dict(base._nodes)
+    for node_id in removed_nodes:
+        del nodes[node_id]
+    edges = rebuilt._edges = dict(base._edges)
+    # A dropped node's adjacency is neither copied nor patched.
+    succ = rebuilt._succ = {
+        node: adj.copy() for node, adj in base._succ.items() if node not in dropped
+    }
+    pred = rebuilt._pred = {
+        node: adj.copy() for node, adj in base._pred.items() if node not in dropped
+    }
 
     removed = diff["removed_edges"]
     if isinstance(removed, dict):
         count = removed["n"]
-        removed = zip(_split_str(removed["s"], count), _split_str(removed["t"], count))
-    for source, target in removed:
-        del edges[(source, target)]
-        del succ[source][target]
-        del pred[target][source]
-    removed_nodes = diff["removed_nodes"]
-    if isinstance(removed_nodes, dict):
-        removed_nodes = _split_str(removed_nodes["t"], removed_nodes["n"])
-    for node_id in removed_nodes:
-        del nodes[node_id]
-        succ.pop(node_id, None)
-        pred.pop(node_id, None)
+        removed_keys = list(zip(_split_str(removed["s"], count), _split_str(removed["t"], count)))
+    else:
+        removed_keys = [(source, target) for source, target in removed]
+    for key in removed_keys:
+        del edges[key]
+        source, target = key
+        if source not in dropped:
+            del succ[source][target]
+        if target not in dropped:
+            del pred[target][source]
 
     ids, kinds, features_col = _entity_columns(diff["added_nodes"], 2)
     nodes.update(zip(ids, map(_node, ids, kinds, features_col)))
@@ -643,7 +801,7 @@ def _apply_graph_diff(
         pred.setdefault(node_id, {})
     sources, targets, labels, features_col = _entity_columns(diff["added_edges"], 3)
     keys = list(zip(sources, targets))
-    edges.update(zip(keys, map(_edge, sources, targets, labels, features_col)))
+    edges.update(zip(keys, _edges_from_columns(sources, targets, labels, features_col)))
     for source, target in keys:
         succ[source][target] = None
         pred[target][source] = None
@@ -652,41 +810,116 @@ def _apply_graph_diff(
     for node_id, features in zip(ids, features_col):
         nodes[node_id] = _node(node_id, nodes[node_id].kind, features)
     sources, targets, labels, features_col = _entity_columns(diff["changed_edges"], 3)
-    edges.update(zip(zip(sources, targets), map(_edge, sources, targets, labels, features_col)))
-    return rebuilt
+    edges.update(
+        zip(zip(sources, targets), _edges_from_columns(sources, targets, labels, features_col))
+    )
+    return rebuilt, keys, removed_keys
+
+
+# --------------------------------------------------------------------------- #
+# account metadata inside a checkpoint
+# --------------------------------------------------------------------------- #
+#: Metadata values standing for tables the checkpoint already holds: the
+#: surrogate edges are the edges the account diff adds, and the
+#: correspondence maps every account node to itself, in node order.
+_ADDED_EDGES = "added_edges"
+_IDENTITY = "identity"
+
+
+def _account_metadata(account: Any, diff: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The account's metadata, its two largest tables elided when redundant.
+
+    The surrogate strategy keeps every node's id and adds exactly its
+    surrogate edges, so both tables would repeat keys the account graph
+    already holds.  Restore rebuilds them from the graph, sharing its id
+    strings and key tuples instead of decoding copies.
+    """
+    metadata = account_metadata_to_dict(account)
+    if diff is not None and account.surrogate_edges == {
+        (row[0], row[1]) for row in diff["added_edges"]
+    }:
+        metadata["surrogate_edges"] = _ADDED_EDGES
+    nodes = account.graph._nodes
+    if len(account.correspondence) == len(nodes) and all(
+        node == original == account_node
+        for (node, original), account_node in zip(account.correspondence.items(), nodes)
+    ):
+        metadata["correspondence"] = _IDENTITY
+    return metadata
+
+
+def _account_from_checkpoint(
+    account_graph: PropertyGraph,
+    added_keys: Optional[List[Tuple[Any, Any]]],
+    metadata: Dict[str, Any],
+    lattice: object,
+) -> Any:
+    """The account back from its graph and :func:`_account_metadata` output."""
+    surrogate_edges = None
+    if metadata["surrogate_edges"] == _ADDED_EDGES:
+        if added_keys is None:
+            raise CorruptionError("surrogate edges refer to a diff the account lacks")
+        surrogate_edges = set(added_keys)
+    correspondence = None
+    if metadata["correspondence"] == _IDENTITY:
+        nodes = account_graph._nodes
+        correspondence = dict(zip(nodes, nodes))
+    return account_from_metadata(
+        account_graph,
+        metadata,
+        lattice=lattice,
+        correspondence=correspondence,
+        surrogate_edges=surrogate_edges,
+    )
 
 
 # --------------------------------------------------------------------------- #
 # scores serialisation
 # --------------------------------------------------------------------------- #
-def _scores_to_dict(scores: ScoreCard) -> Dict[str, Any]:
-    """Serialise a full ScoreCard (per-node and per-edge breakdowns included)."""
+def _scores_to_dict(
+    scores: ScoreCard,
+    graph_nodes: Optional[Any] = None,
+    removed_keys: Optional[List[Tuple[Any, Any]]] = None,
+) -> Dict[str, Any]:
+    """Serialise a full ScoreCard (per-node and per-edge breakdowns included).
+
+    ``graph_nodes`` (the protected graph's node dict) and ``removed_keys``
+    (the edges the account diff drops, in diff order) let the per-node and
+    per-edge maps be written as value groups (see :func:`_pack_number_map`).
+    """
     return {
         "utility": {
             "path_utility": scores.utility.path_utility,
             "node_utility": scores.utility.node_utility,
-            "path_percentages": _pack_map(scores.utility.path_percentages),
+            "path_percentages": _pack_number_map(
+                scores.utility.path_percentages, graph_nodes, False
+            ),
         },
         "opacity": {
             "average": scores.opacity.average,
-            "per_edge": _pack_edge_map(scores.opacity.per_edge),
+            "per_edge": _pack_number_map(scores.opacity.per_edge, removed_keys, True),
         },
         "timings_ms": dict(scores.timings_ms),
     }
 
 
 def _scores_from_dict(
-    payload: Dict[str, Any], opacity_view: Optional[CompiledOpacityView]
+    payload: Dict[str, Any],
+    opacity_view: Optional[CompiledOpacityView],
+    graph_nodes: Optional[Any] = None,
+    removed_keys: Optional[List[Tuple[Any, Any]]] = None,
 ) -> ScoreCard:
     """Rebuild a ScoreCard; ``opacity_view`` rides along for cached re-scores."""
     utility = UtilityReport(
         path_utility=payload["utility"]["path_utility"],
         node_utility=payload["utility"]["node_utility"],
-        path_percentages=_unpack_map(payload["utility"]["path_percentages"]),
+        path_percentages=_unpack_number_map(
+            payload["utility"]["path_percentages"], graph_nodes, False
+        ),
     )
     opacity = OpacityReport(
         average=payload["opacity"]["average"],
-        per_edge=_unpack_edge_map(payload["opacity"]["per_edge"]),
+        per_edge=_unpack_number_map(payload["opacity"]["per_edge"], removed_keys, True),
         view=opacity_view,
     )
     return ScoreCard(utility=utility, opacity=opacity, timings_ms=payload.get("timings_ms", {}))
@@ -784,7 +1017,7 @@ def write_checkpoint(
     else:
         account_payload = {"encoding": "full", "graph": graph_to_json(account.graph)}
     account_payload["name"] = account.graph.name
-    account_payload["metadata"] = account_metadata_to_dict(account)
+    account_payload["metadata"] = _account_metadata(account, diff)
 
     effective_adversary = (
         result.request.adversary if result.request.adversary is not None else service.adversary
@@ -792,10 +1025,13 @@ def write_checkpoint(
     opacity_payload: Optional[Dict[str, Any]] = None
     scores_payload: Optional[Dict[str, Any]] = None
     if result.scores is not None and result.request.explicit_scores is None:
-        scores_payload = _scores_to_dict(result.scores)
+        removed_keys = (
+            None if diff is None else [(row[0], row[1]) for row in diff["removed_edges"]]
+        )
+        scores_payload = _scores_to_dict(result.scores, graph._nodes, removed_keys)
         view_obj = result.scores.opacity.view
         if view_obj is not None:
-            opacity_payload = _opacity_view_to_dict(view_obj)
+            opacity_payload = _opacity_view_to_dict(view_obj, account.graph._nodes)
 
     payload: Dict[str, Any] = {
         "graph_name": graph_name if graph_name is not None else graph.name,
@@ -874,7 +1110,7 @@ def _restore_service_inner(
 
     io = store.storage.io
     try:
-        payload = _unwrap(io.read_text(path))
+        payload = _unwrap(io.read_bytes(path))
     except (CorruptionError, StoreError, UnicodeDecodeError) as exc:
         # UnicodeDecodeError: bitrot can leave bytes that are not even text.
         quarantined = path.with_name(path.name + ".corrupt")
@@ -917,10 +1153,20 @@ def _restore_service_inner(
 
     try:
         return _restore_from_payload(service, report, payload, graph, tail)
-    except (CorruptionError, KeyError, ValueError, TypeError, IndexError) as exc:
+    except (
+        CorruptionError,
+        GraphError,
+        ProtectionError,
+        KeyError,
+        ValueError,
+        TypeError,
+        IndexError,
+    ) as exc:
         # The frame's CRC passed but the payload itself would not decode —
-        # a format drift or an impossible shape.  Undo any half-restored
-        # view, quarantine the file, and come back cold: never wrong.
+        # a format drift or an impossible shape (a malformed account graph
+        # raises GraphError, an account whose correspondence does not cover
+        # its graph ProtectionError).  Undo any half-restored view,
+        # quarantine the file, and come back cold: never wrong.
         markings = service.policy.markings
         for key in [k for k in markings._compiled if k[0] == id(graph)]:
             del markings._compiled[key]
@@ -950,10 +1196,19 @@ def _restore_from_payload(
     """
     privilege = None
     view = None
+    unchanged = (
+        not tail
+        and payload["node_count"] == len(graph._nodes)
+        and payload["edge_count"] == len(graph._edges)
+    )
     if payload["marking_view"] is not None:
         privilege = service.policy.lattice.get(payload["marking_view"]["privilege"])
         view = _marking_view_from_dict(
-            payload["marking_view"], graph, service.policy, privilege
+            payload["marking_view"],
+            graph,
+            service.policy,
+            privilege,
+            graph_unchanged=unchanged,
         )
         for record in tail:
             _patch_view_from_record(view, record)
@@ -974,22 +1229,21 @@ def _restore_from_payload(
         report.mode = "catchup" if report.view_restored else "cold"
         report.reason = "write-log tail after checkpoint; account and scores are stale"
         return report
-    if payload["node_count"] != len(graph._nodes) or payload["edge_count"] != len(
-        graph._edges
-    ):
+    if not unchanged:
         report.mode = "catchup" if report.view_restored else "cold"
         report.reason = "graph shape does not match the checkpoint"
         return report
 
     account_payload = payload["account"]
+    added_keys = removed_keys = None
     if account_payload["encoding"] == "diff":
-        account_graph = _apply_graph_diff(
+        account_graph, added_keys, removed_keys = _apply_graph_diff(
             graph, account_payload["diff"], account_payload["name"]
         )
     else:
         account_graph = graph_from_json(account_payload["graph"])
-    account = account_from_metadata(
-        account_graph, account_payload["metadata"], lattice=service.policy.lattice
+    account = _account_from_checkpoint(
+        account_graph, added_keys, account_payload["metadata"], service.policy.lattice
     )
     report.account_restored = True
     report.account = account
@@ -1010,7 +1264,9 @@ def _restore_from_payload(
 
     scores = None
     if adversary_ok and payload["scores"] is not None:
-        scores = _scores_from_dict(payload["scores"], opacity_view)
+        scores = _scores_from_dict(
+            payload["scores"], opacity_view, graph._nodes, removed_keys
+        )
         report.scores_restored = True
         report.scores = scores
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.codec import (
     pack_id_list as _pack_id_list,
@@ -71,12 +71,16 @@ def account_from_metadata(
     payload: Dict[str, Any],
     *,
     lattice: Optional[PrivilegeLattice] = None,
+    correspondence: Optional[Dict[Any, Any]] = None,
+    surrogate_edges: Optional[Set[Any]] = None,
 ) -> ProtectedAccount:
     """Rebuild an account from a stored graph plus its metadata payload.
 
     The privilege is resolved through ``lattice`` when one is supplied and
     declares the recorded name; otherwise the account carries ``None`` (the
     name alone is not a :class:`~repro.core.privileges.Privilege`).
+    ``correspondence`` and ``surrogate_edges``, when given, stand in for
+    the payload's tables of that name, which are then not read.
     """
     graph_name = payload.get("graph_name")
     if graph_name is not None and graph.name != graph_name:
@@ -87,12 +91,16 @@ def account_from_metadata(
     privilege_name = payload.get("privilege")
     if privilege_name is not None and lattice is not None and privilege_name in lattice:
         privilege = lattice.get(privilege_name)
+    if correspondence is None:
+        correspondence = dict(_unpack_pair_table(payload.get("correspondence", [])))
+    if surrogate_edges is None:
+        surrogate_edges = set(_unpack_pair_table(payload.get("surrogate_edges", [])))
     return ProtectedAccount(
         graph=graph,
-        correspondence=dict(_unpack_pair_table(payload.get("correspondence", []))),
+        correspondence=correspondence,
         privilege=privilege,
         surrogate_nodes=set(_unpack_id_list(payload.get("surrogate_nodes", []))),
-        surrogate_edges=set(_unpack_pair_table(payload.get("surrogate_edges", []))),
+        surrogate_edges=surrogate_edges,
         strategy=payload.get("strategy", "custom"),
     )
 

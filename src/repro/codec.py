@@ -10,12 +10,17 @@ and a Python-level loop per row on the way out.  Packed as tab-joined
 speed and decode with bulk C operations only — ``str.split``,
 ``map(float, ...)``, ``zip``, ``dict.fromkeys``.
 
-``None`` fields ride as a NUL sentinel; tabs/newlines/backslashes inside
-fields are escaped (a column takes the slow unescape path only when its
-packed text actually contains an escape or sentinel).  Every packer
-returns ``None`` when a column is not uniformly typed (exotic node ids);
-the caller falls back to plain JSON rows, and every unpacker accepts
-both shapes.
+``None`` fields ride as a NUL sentinel; tabs/newlines/backslashes (and
+the separator) inside fields are escaped (a column takes the slow
+unescape path only when its packed text actually contains an escape or
+sentinel).  Every packer returns ``None`` when a column is not uniformly
+typed (exotic node ids); the caller falls back to plain JSON rows, and
+every unpacker accepts both shapes.
+
+Fields are tab-separated by default.  A column that travels inside a JSON
+string can use :data:`JSON_SEP` instead: JSON escapes every tab (and every
+non-printable character), and decoding one escape per field is most of
+the cost of parsing a packed column.
 """
 
 from __future__ import annotations
@@ -26,15 +31,22 @@ from typing import Any, Iterator, List, Optional
 from repro.exceptions import CorruptionError
 
 NONE_FIELD = "\x00"
+#: The default field separator.
+TAB = "\t"
+#: The separator for columns inside JSON strings: printable, so JSON
+#: leaves it as it is.
+JSON_SEP = "|"
 _UNESCAPE_RE = re.compile(r"\\(.)")
-_UNESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\"}
+_UNESCAPE_MAP = {"n": "\n", "t": "\t", "p": JSON_SEP, "\\": "\\"}
 
 
-def escape_field(field: Optional[str]) -> str:
+def escape_field(field: Optional[str], sep: str = TAB) -> str:
+    """One field for a ``sep``-separated column (``sep`` is TAB or JSON_SEP)."""
     if field is None:
         return NONE_FIELD
-    if "\\" in field or "\t" in field or "\n" in field:
-        return field.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    if "\\" in field or "\t" in field or "\n" in field or sep in field:
+        field = field.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+        return field.replace(JSON_SEP, "\\p") if sep == JSON_SEP else field
     return field
 
 
@@ -46,18 +58,18 @@ def unescape_field(field: str) -> Optional[str]:
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP.get(m.group(1), m.group(1)), field)
 
 
-def col_str(values: List[Any]) -> Optional[str]:
-    """Strings (or Nones) as one tab-joined column; ``None`` if unpackable."""
+def col_str(values: List[Any], sep: str = TAB) -> Optional[str]:
+    """Strings (or Nones) as one ``sep``-joined column; ``None`` if unpackable."""
     if not all(value is None or isinstance(value, str) for value in values):
         return None
-    return "\t".join(escape_field(value) for value in values)
+    return sep.join(escape_field(value, sep) for value in values)
 
 
-def split_str(text: str, count: int) -> List[Optional[str]]:
+def split_str(text: str, count: int, sep: str = TAB) -> List[Optional[str]]:
     """A string column back into its fields, validating the row count."""
     if count == 0:
         return []
-    fields: List[Optional[str]] = text.split("\t")
+    fields: List[Optional[str]] = text.split(sep)
     if len(fields) != count:
         raise CorruptionError(
             f"packed column holds {len(fields)} fields where {count} were recorded"
@@ -67,7 +79,7 @@ def split_str(text: str, count: int) -> List[Optional[str]]:
     return fields
 
 
-def col_num(values: List[Any]) -> Optional[dict]:
+def col_num(values: List[Any], sep: str = TAB) -> Optional[dict]:
     """Uniform ints or floats as a type-tagged ``repr`` column (exact).
 
     ``None`` when the values are mixed or exotic (bools, Decimals): the
@@ -81,10 +93,10 @@ def col_num(values: List[Any]) -> Optional[dict]:
         tag = "f"
     else:
         return None
-    return {"ty": tag, "t": "\t".join(map(repr, values))}
+    return {"ty": tag, "t": sep.join(map(repr, values))}
 
 
-def split_num(spec: dict, count: int) -> Iterator[Any]:
+def split_num(spec: dict, count: int, sep: str = TAB) -> Iterator[Any]:
     """A numeric column back into its values (lazily — consumers zip once).
 
     The row count is validated eagerly; the int/float conversions run
@@ -93,7 +105,7 @@ def split_num(spec: dict, count: int) -> Iterator[Any]:
     """
     if count == 0:
         return iter(())
-    fields = spec["t"].split("\t")
+    fields = spec["t"].split(sep)
     if len(fields) != count:
         raise CorruptionError(
             f"packed column holds {len(fields)} fields where {count} were recorded"

@@ -113,13 +113,15 @@ def to_networkx(graph: PropertyGraph):
 
 def from_networkx(digraph, *, name: Optional[str] = None) -> PropertyGraph:
     """Import from a ``networkx.DiGraph`` (node/edge attributes become features)."""
-    graph = PropertyGraph(name=name)
-    for node_id, data in digraph.nodes(data=True):
-        attributes = dict(data)
-        kind = attributes.pop("kind", None)
-        graph.add_node(node_id, kind=kind, features=attributes)
-    for source, target, data in digraph.edges(data=True):
-        attributes = dict(data)
-        label = attributes.pop("label", None)
-        graph.add_edge(source, target, label=label, features=attributes)
-    return graph
+
+    def node_rows():
+        for node_id, data in digraph.nodes(data=True):
+            attributes = dict(data)
+            yield node_id, attributes.pop("kind", None), attributes
+
+    def edge_rows():
+        for source, target, data in digraph.edges(data=True):
+            attributes = dict(data)
+            yield source, target, attributes.pop("label", None), attributes
+
+    return PropertyGraph.from_rows(node_rows(), edge_rows(), name=name)

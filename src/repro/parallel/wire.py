@@ -340,7 +340,7 @@ def pack_group_result(
         # sub-account union drives iteration, not the base), and insertion
         # order is part of the bit-identity contract — verify the patch
         # reproduces it exactly, else ship the full graph.
-        rebuilt = _apply_graph_diff(base_graph, encoded_diff, account.graph.name)
+        rebuilt, _, _ = _apply_graph_diff(base_graph, encoded_diff, account.graph.name)
         if (
             rebuilt.node_ids() != account.graph.node_ids()
             or rebuilt.edge_keys() != account.graph.edge_keys()
@@ -400,7 +400,7 @@ def merge_group_result(
     and for memoising the result into the account cache.
     """
     if payload["diff"] is not None:
-        account_graph = _apply_graph_diff(graph, payload["diff"], payload["name"])
+        account_graph, _, _ = _apply_graph_diff(graph, payload["diff"], payload["name"])
     else:
         account_graph = unpack_graph(payload["graph"])
     account = account_from_metadata(

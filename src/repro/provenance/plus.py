@@ -180,11 +180,14 @@ class PLUSClient:
         db_access_ms = (time.perf_counter() - start) * 1000.0
 
         start = time.perf_counter()
-        rebuilt = PropertyGraph(name=stored.name)
-        for record in records:
-            rebuilt.add_node(record["id"], kind=record["kind"], features=record["features"])
-        for record in edge_records:
-            rebuilt.add_edge(record["source"], record["target"], label=record["label"])
+        rebuilt = PropertyGraph.from_rows(
+            ((record["id"], record["kind"], record["features"]) for record in records),
+            (
+                (record["source"], record["target"], record["label"], None)
+                for record in edge_records
+            ),
+            name=stored.name,
+        )
         build_graph_ms = (time.perf_counter() - start) * 1000.0
 
         edges = tuple(protected_edges) if protected_edges is not None else ()

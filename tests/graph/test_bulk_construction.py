@@ -12,6 +12,7 @@ replacement, removal and re-insertion have moved things around first.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,7 +23,8 @@ from repro.exceptions import (
     GraphError,
     NodeNotFoundError,
 )
-from repro.graph.model import PropertyGraph
+from repro.api.checkpoints import _apply_graph_diff, _encode_diff, _graph_diff
+from repro.graph.model import PropertyGraph, _edge, _edges_from_columns
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.parallel.wire import pack_graph, unpack_graph
 from repro.store.sqlite import PagingStats, SQLiteGraphStorage, load_graph_paged
@@ -266,3 +268,45 @@ def test_graph_from_dict_rejects_malformed_rows_as_graph_errors(payload):
     with pytest.raises(GraphError) as caught:
         graph_from_dict(payload)
     assert type(caught.value) is GraphError
+
+
+def test_edges_from_columns_matches_one_edge_per_row():
+    rows = [("a", "b", "used", {"w": 1}), ("b", "c", None, {}), ("c", "a", "x", {"k": [1]})]
+    columns = [list(column) for column in zip(*rows)]
+    assert _edges_from_columns(*columns) == [_edge(*row) for row in rows]
+    with pytest.raises(ValueError):
+        _edges_from_columns(["a"], ["b"], [None], [])
+
+
+@pytest.mark.parametrize("family,seed", CASES, ids=[f"{f}-{s}" for f, s in CASES])
+def test_checkpoint_diff_rebuilds_the_target_graph(family, seed):
+    base = rebuild_with_mutators(FAMILIES[family]())
+    # An account-like target: nodes and edges dropped and added, features
+    # changed, no node changing kind (that would take the full encoding).
+    target = base.copy()
+    rng = random.Random(f"diff:{family}:{seed}")
+    for step in range(40):
+        ids, keys, roll = target.node_ids(), target.edge_keys(), rng.random()
+        if roll < 0.1 and len(ids) > 4:
+            target.remove_node(rng.choice(ids))
+        elif roll < 0.3 and keys:
+            target.remove_edge(*rng.choice(keys))
+        elif roll < 0.4:
+            target.add_node(f"added{step}", kind="surrogate", features={"s": step})
+        elif roll < 0.5:
+            target.set_node_features(rng.choice(ids), {"c": step})
+        elif roll < 0.6 and keys:
+            source, target_id = rng.choice(keys)
+            target.add_edge(source, target_id, label="changed", features={"c": step}, replace=True)
+        else:
+            source, target_id = rng.sample(ids, 2)
+            if not target.has_edge(source, target_id):
+                target.add_edge(source, target_id, label="surrogate")
+    diff = _graph_diff(base, target)
+    encoded = json.loads(json.dumps(_encode_diff(diff)))
+    rebuilt, added, removed = _apply_graph_diff(base, encoded, target.name)
+    assert rebuilt == target
+    assert added == [(row[0], row[1]) for row in diff["added_edges"]]
+    assert removed == [(row[0], row[1]) for row in diff["removed_edges"]]
+    # Adjacency orders follow edge order, as every mutator keeps them.
+    assert shape(rebuilt)[:-1] == shape(rebuild_with_mutators(rebuilt))[:-1]

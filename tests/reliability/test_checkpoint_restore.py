@@ -9,16 +9,20 @@ anything suspicious must come back ``cold``, never wrong.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.api import ProtectionService
+from repro.api.checkpoints import _unwrap, _wrap
+from repro.api.persistence import account_metadata_to_dict
 from repro.core.markings import Marking
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
 from repro.exceptions import StoreError
 from repro.graph.builders import GraphBuilder
+from repro.graph.serialization import graph_to_dict
 from repro.store.engine import GraphStore
 
 
@@ -213,3 +217,112 @@ def test_health_is_ok_after_a_warm_restart(tmp_path):
     assert health["last_restore"]["mode"] == "warm"
     assert health["store"]["durable"] is True
     assert health["delta_bus"]["enabled"] is True
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply ``edit`` to a checkpoint's payload and re-frame it with a valid CRC."""
+    payload = _unwrap(path.read_bytes())
+    edit(payload)
+    path.write_text(_wrap(payload), encoding="utf-8")
+
+
+def test_warm_restore_rebuilds_the_account_from_the_graph(tmp_path):
+    store, service = first_boot(tmp_path)
+    result = service.protect(privilege="Public")
+    path = service.checkpoint(result, name="svc")
+    # The surrogate edges are the edges the diff adds and every node keeps
+    # its id, so the checkpoint names both tables instead of repeating them.
+    metadata = _unwrap(path.read_bytes())["account"]["metadata"]
+    assert metadata["surrogate_edges"] == "added_edges"
+    assert metadata["correspondence"] == "identity"
+
+    store2, service2 = reboot(tmp_path)
+    report = service2.restore(name="svc")
+    assert report.mode == "warm", report.reason
+    account, original = report.account, result.account
+    assert account == original
+    assert account.graph.node_ids() == original.graph.node_ids()
+    assert account.graph.edge_keys() == original.graph.edge_keys()
+    assert list(account.correspondence.items()) == list(original.correspondence.items())
+    # The restored view is keyed by the graph's own ids and edge keys, in
+    # graph order, as a fresh compile is.
+    graph2 = service2.graph
+    view = service2.policy.markings._compiled[(id(graph2), "Public")]
+    assert all(a is b for a, b in zip(view.node_default, graph2._nodes))
+    assert all(a is b for a, b in zip(view.edge_state_table, graph2._edges))
+    assert list(view.edge_state_table) == list(fresh_tables(graph2)[1])
+
+
+@pytest.mark.parametrize(
+    "group, change",
+    [
+        ("node_default", "drop_a_row"),
+        ("edge_states", "drop_a_row"),
+        ("node_default", "unknown_key"),
+        ("edge_states", "unknown_key"),
+    ],
+)
+def test_view_table_that_misses_the_graph_goes_cold(tmp_path, group, change):
+    store, service = first_boot(tmp_path)
+    result = service.protect(privilege="Public")
+    path = service.checkpoint(result, name="svc")
+
+    def edit(payload):
+        groups = payload["marking_view"][group]["groups"]
+        smallest = min(groups, key=lambda row: row[1])
+        if change == "drop_a_row":
+            # The counts no longer add up to the graph's size.
+            smallest[1] -= 1
+            for index in range(2, len(smallest)):
+                smallest[index] = smallest[index].split("|", 1)[-1]
+        else:
+            # Same count, but one key the graph does not have.
+            for index in range(2, len(smallest)):
+                smallest[index] = "|".join(["zz"] + smallest[index].split("|")[1:])
+
+    rewrite_checkpoint(path, edit)
+    store2, service2 = reboot(tmp_path)
+    report = service2.restore(name="svc")
+    assert report.mode == "cold", report.reason
+    assert report.quarantined is not None
+    assert service2.protect(privilege="Public").scores.path_utility == (
+        result.scores.path_utility
+    )
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    ["self_loop", "row_without_id", "list_features", "uncovered_node"],
+)
+def test_malformed_full_account_is_quarantined_and_cold(tmp_path, malformed):
+    """A CRC-valid account graph that does not decode never escapes restore."""
+    store, service = first_boot(tmp_path)
+    result = service.protect(privilege="Public")
+    path = service.checkpoint(result, name="svc")
+
+    def edit(payload):
+        graph = graph_to_dict(result.account.graph)
+        if malformed == "self_loop":
+            graph["edges"].append({"source": "a", "target": "a", "label": None, "features": {}})
+        elif malformed == "row_without_id":
+            graph["nodes"].append({"kind": "data", "features": {}})
+        elif malformed == "list_features":
+            graph["nodes"][0]["features"] = ["not", "a", "mapping"]
+        else:
+            # Decodes, but the correspondence does not cover the new node.
+            graph["nodes"].append({"id": "zz", "kind": None, "features": {}})
+        account = payload["account"]
+        metadata = account_metadata_to_dict(result.account)
+        account.update(encoding="full", graph=json.dumps(graph), metadata=metadata)
+        del account["diff"]
+
+    rewrite_checkpoint(path, edit)
+    store2, service2 = reboot(tmp_path)
+    report = service2.restore(name="svc")
+    assert report.mode == "cold", report.reason
+    assert report.quarantined is not None
+    assert Path(report.quarantined).exists()
+    assert not path.exists()
+    assert service2.protect(privilege="Public").scores.path_utility == (
+        result.scores.path_utility
+    )
