@@ -11,7 +11,8 @@ edge edit cannot afford to pay that per keystroke.  :class:`EditSession`
 * the compiled marking view is patched in place
   (:meth:`~repro.core.markings.CompiledMarkingView.apply_delta`);
 * the visible-walk cache evicts only walks whose traversal region the edit
-  touches (:meth:`~repro.core.permitted.VisibleWalkCache.apply_delta`);
+  touches, found through its region index
+  (:meth:`~repro.core.permitted.VisibleWalkCache.apply_delta`);
 * the protected account itself is patched: the session tracks, per original
   edge, the surrogate-candidate pairs it contributes and the walks/pairs
   each contribution depends on, so an edit recomputes only the dirty slice
@@ -23,14 +24,19 @@ edge edit cannot afford to pay that per keystroke.  :class:`EditSession`
   components of both graphs are updated per edge change, and only nodes
   whose component size changed get a new ``%P`` (Path Utility).  Node
   Utility is carried over (edge edits cannot change it).  Only hidden
-  edges the commit touched are scored, off the account's compiled
-  adversary simulation, itself patched through the service's
-  :class:`~repro.graph.deltas.DeltaBus`; when the patch moved the
-  adversary's weights, every leave-one-out denominator moved with them and
-  every hidden edge is rescored.
+  edges the commit touched are scored, off the session's own compiled
+  adversary simulation.  The session patches it in place with the
+  commit's one composite account delta
+  (:meth:`~repro.core.opacity.CompiledOpacityView.apply_delta`), and the
+  patch reports whether any weight moved (``weights_revision``); when one
+  did, every leave-one-out denominator moved with it and every hidden edge
+  is rescored.
 
 So a commit does Python work in proportion to the edit, plus one copy of
-each score map for its result.  The result of every
+each score map for its result.  The results of commits since the last full
+rebuild share the session's live account and its live simulation (their
+``scores.opacity.view``), so those describe the latest commit; each result
+owns its own copies of the two score maps.  The result of every
 :meth:`EditSession.commit` is byte-identical to a fresh ``protect() +
 score()`` of the edited graph — the equivalence suite pins account graphs,
 surrogate sets and every ScoreCard float with exact ``==``, and the key
@@ -377,6 +383,12 @@ class EditSession:
     def _on_delta(self, graph: PropertyGraph, delta: GraphDelta) -> None:
         self._pending.append(delta)
 
+    def _on_account_delta(self, graph: PropertyGraph, delta: GraphDelta) -> None:
+        # A refused patch (an adversary without LOCAL_WEIGHTS, a version
+        # gap) leaves the view stale; _score_opacity then compiles afresh.
+        if self._opacity_view is not None:
+            self._opacity_view.apply_delta(delta, self._adversary)
+
     def _policy_token(self) -> Tuple[int, int, int, bool]:
         policy = self._service.policy
         return (
@@ -471,24 +483,25 @@ class EditSession:
         self._node_utility = utility.node_utility
 
         self._detach_account_bus()
-        account.graph.enable_delta_log()
-        # Subscribe only the opacity-view cache to the account graph: it is
-        # the one maintainer with state keyed to this graph (the compiled
-        # adversary simulation, patched + re-keyed per account-edge diff).
-        # The full service bus would also fan account mutations out to
-        # AccountCache.on_delta, whose O(entries) scan can never match an
-        # account graph.
+        # The session owns its account's adversary simulation as it owns
+        # the account: it compiles the view itself and is the one listener
+        # on the account graph, patching the view in place with each
+        # commit's composite delta (_on_account_delta).  The service's
+        # opacity-view cache serves shared views only, and the full service
+        # bus would also fan account mutations out to AccountCache.on_delta,
+        # whose O(entries) scan can never match an account graph.
         self._account_bus = (
             account.graph,
-            account.graph.subscribe(service._opacity_views.on_delta),
+            account.graph.subscribe(self._on_account_delta),
         )
-        opacity, score_timings = self._score_opacity(account, None, None)
+        self._opacity_view: Optional[CompiledOpacityView] = None
+        self._scored_revision = 0
+        opacity, score_timings = self._score_opacity(account, None)
         # The maintained score maps: %P in node order and per-edge opacity
         # in graph edge order filtered to hidden edges — the orders a fresh
         # report builds, which its float averages depend on.
         self._percentages: Dict[NodeId, float] = dict(utility.path_percentages)
         self._per_edge: Dict[EdgeKey, float] = dict(opacity.per_edge)
-        self._opacity_view: Optional[CompiledOpacityView] = opacity.view
         request = ProtectionRequest(privileges=(privilege,), name=self._name)
         self.result = ProtectionResult(
             request=request,
@@ -616,8 +629,8 @@ class EditSession:
 
         # --- apply the account-graph diff (removals before additions) ---- #
         # One batch: the whole diff commits as a single composite delta, so
-        # the opacity-view cache clones and patches its simulation once per
-        # commit instead of once per account edge.
+        # the session patches its simulation once per commit instead of
+        # once per account edge.
         account = self.result.account
         account_graph = account.graph
         with account_graph.batch():
@@ -936,9 +949,8 @@ class EditSession:
             node_utility=self._node_utility,
             path_percentages=path_percentages,
         )
-        report, timings_ms = self._score_opacity(account, dirty, self._opacity_view)
+        report, timings_ms = self._score_opacity(account, dirty)
         self._per_edge.update(report.per_edge)
-        self._opacity_view = report.view
         per_edge = dict(self._per_edge)
         opacity = OpacityReport(
             average=sum(per_edge.values()) / len(per_edge) if per_edge else 1.0,
@@ -951,40 +963,43 @@ class EditSession:
         self,
         account: ProtectedAccount,
         edges: Optional[Iterable[EdgeKey]],
-        view: Optional[CompiledOpacityView],
     ) -> Tuple[OpacityReport, Dict[str, float]]:
-        """Score ``edges`` (``None``: every hidden edge) off the service's view cache.
+        """Score ``edges`` (``None``: every hidden edge) off the session's simulation.
 
-        ``view`` is the simulation the carried per-edge values were read
-        off.  When the account changed since, the patched simulation is
-        fetched and its weight maps compared with ``view``'s: equal maps
-        leave every carried value exact, so only ``edges`` are scored;
-        different maps move every leave-one-out denominator, so every
+        The carried per-edge values were read off the session's view at
+        ``_scored_revision``.  When the commit's in-place patch moved some
+        weight, every leave-one-out denominator moved with it, so every
         hidden edge is rescored (counted as ``opacity_rescored`` under
-        ``"edit_session"``).  The comparison also covers adversaries that
-        are not delta-local and ``normalize_focus``.  Returns the report
-        plus its ``opacity_compile`` / ``opacity_score`` split in ms.
+        ``"edit_session"``); otherwise only ``edges`` are.  A view the patch
+        refused (an adversary that is not delta-local, a version gap) is
+        replaced by a fresh compile whose weight maps are compared with the
+        stale view's instead.  ``normalize_focus`` needs no check of its
+        own: the focus total moves only with a focus weight.  Returns the
+        report plus its ``opacity_compile`` / ``opacity_score`` split in ms.
         """
         timings_ms = {"opacity_compile": 0.0}
 
         def view_factory() -> CompiledOpacityView:
             start = time.perf_counter()
-            current = self._service._opacity_views.get_or_compile(
-                account.graph, self._adversary
-            )
+            current = CompiledOpacityView.compile(account.graph, self._adversary)
             timings_ms["opacity_compile"] += (time.perf_counter() - start) * 1000.0
             return current
 
         start = time.perf_counter()
-        if view is not None and not view.is_current_for(account.graph, self._adversary):
-            current = view_factory()
-            if (
-                current.focus_weights != view.focus_weights
-                or current.inference_weights != view.inference_weights
-            ):
+        view = self._opacity_view
+        if view is not None:
+            if view.is_current_for(account.graph, self._adversary):
+                moved = view.weights_revision != self._scored_revision
+            else:
+                current = view_factory()
+                moved = (
+                    current.focus_weights != view.focus_weights
+                    or current.inference_weights != view.inference_weights
+                )
+                view = current
+            if moved:
                 edges = list(self._per_edge)
                 record_maintenance("edit_session", "opacity_rescored")
-            view = current
         report = opacity_report(
             self._graph,
             account,
@@ -994,6 +1009,9 @@ class EditSession:
             view=view,
             view_factory=view_factory,
         )
+        self._opacity_view = report.view
+        if report.view is not None:
+            self._scored_revision = report.view.weights_revision
         timings_ms["opacity_score"] = (
             (time.perf_counter() - start) * 1000.0 - timings_ms["opacity_compile"]
         )

@@ -250,7 +250,10 @@ class CompiledOpacityView:
     :func:`math.fsum` over the same V−1 weights — both are the correctly
     rounded value of the same exact real sum.  Stale views are detected via
     :meth:`is_current_for` (graph identity + version + adversary
-    fingerprint), never silently served.
+    fingerprint), never silently served.  ``weights_revision`` counts the
+    patches that moved some node's ``FP`` or ``IP`` value, so an owner can
+    tell whether its per-edge values are still exact without comparing the
+    O(V) weight maps.
     """
 
     graph_version: int
@@ -271,6 +274,7 @@ class CompiledOpacityView:
     _total_inference_exact: Fraction = field(default=Fraction(0), repr=False, compare=False)
     _inference_value_counts: Counter = field(default_factory=Counter, repr=False, compare=False)
     _denominators_stale: bool = field(default=False, repr=False, compare=False)
+    weights_revision: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def compile(
@@ -351,7 +355,8 @@ class CompiledOpacityView:
         ``FP``/``IP`` weights re-evaluated; the exact
         :class:`~fractions.Fraction` totals are updated by exact
         subtraction/addition, so the rounded floats stay *identical* to a
-        fresh compile's (exact arithmetic has no order sensitivity).  The
+        fresh compile's (exact arithmetic has no order sensitivity).  When
+        some weight moved, ``weights_revision`` goes up by one and the
         leave-one-out denominators are marked stale and rebuilt lazily on
         the next read.
 
@@ -487,24 +492,21 @@ class CompiledOpacityView:
     ) -> None:
         """Re-evaluate the weights of ``affected`` nodes against ``graph``.
 
-        Handles appearance and disappearance uniformly: a node's old
-        contribution (if any) is subtracted exactly, its new contribution
-        (if it is still in the graph) added exactly.
+        Handles appearance and disappearance uniformly: a node whose weights
+        moved has its old contribution (if any) subtracted exactly and its
+        new one (if it is still in the graph) added exactly.  A node whose
+        weights did not move costs one adversary call per weight.  Bumps
+        ``weights_revision`` once when any weight moved.
         """
         focus_weights = self.focus_weights
         inference_weights = self.inference_weights
         value_counts = self._inference_value_counts
         total_focus = self._total_focus_exact
         total_inference = self._total_inference_exact
+        moved = False
         for node_id in affected:
-            old_focus = focus_weights.pop(node_id, None)
-            if old_focus is not None:
-                total_focus -= Fraction(old_focus)
-                old_inference = inference_weights.pop(node_id)
-                total_inference -= Fraction(old_inference)
-                value_counts[old_inference] -= 1
-                if not value_counts[old_inference]:
-                    del value_counts[old_inference]
+            old_focus = focus_weights.get(node_id)
+            old_inference = inference_weights.get(node_id)
             if graph.has_node(node_id):
                 new_focus = _checked_weight(
                     "focus", node_id, adversary.focus_probability(graph, node_id)
@@ -512,17 +514,34 @@ class CompiledOpacityView:
                 new_inference = _checked_weight(
                     "inference", node_id, adversary.inference_probability(graph, node_id)
                 )
+                if new_focus == old_focus and new_inference == old_inference:
+                    continue
                 focus_weights[node_id] = new_focus
                 inference_weights[node_id] = new_inference
                 total_focus += Fraction(new_focus)
                 total_inference += Fraction(new_inference)
                 value_counts[new_inference] += 1
+            elif old_focus is None:
+                continue
+            else:
+                del focus_weights[node_id]
+                del inference_weights[node_id]
+            moved = True
+            if old_focus is not None:
+                total_focus -= Fraction(old_focus)
+                total_inference -= Fraction(old_inference)
+                value_counts[old_inference] -= 1
+                if not value_counts[old_inference]:
+                    del value_counts[old_inference]
+        if not moved:
+            return
         self._total_focus_exact = total_focus
         self._total_inference_exact = total_inference
         self.total_focus = float(total_focus)
         self.total_inference = float(total_inference)
         self.node_count = len(focus_weights)
         self._denominators_stale = True
+        self.weights_revision += 1
 
     def _leave_one_out_by_value(self) -> Dict[float, float]:
         """The leave-one-out denominator per distinct inference weight value."""
@@ -643,13 +662,18 @@ class OpacityViewCache:
     """A bounded LRU of compiled opacity views, keyed by (graph, adversary).
 
     Serving layers (:meth:`ProtectionService.score
-    <repro.api.service.ProtectionService.score>`) keep one of these so
-    repeated scoring of the same account graph — including accounts replayed
-    from the :class:`~repro.api.cache.AccountCache` — reuses the compiled
-    simulation instead of re-running it.  Keys embed the graph's ``id()``
-    and version plus the adversary fingerprint; hits additionally prove
-    graph identity through the view's weakref, so a recycled ``id()`` can
-    never alias a dead graph.  All map operations take the cache's lock, so
+    <repro.api.service.ProtectionService.score>`, checkpoint restore and
+    followers) keep one of these so repeated scoring of the same account
+    graph — including accounts replayed from the
+    :class:`~repro.api.cache.AccountCache` — reuses the compiled simulation
+    instead of re-running it.  It holds *shared* views, handed to any
+    caller, which is why :meth:`on_delta` patches by copy.  A view with a
+    single owner does not belong here: an
+    :class:`~repro.api.editing.EditSession` compiles its account's
+    simulation itself and patches it in place.  Keys embed the graph's
+    ``id()`` and version plus the adversary fingerprint; hits additionally
+    prove graph identity through the view's weakref, so a recycled ``id()``
+    can never alias a dead graph.  All map operations take the cache's lock, so
     a shared :class:`~repro.api.service.ProtectionService` may score from
     concurrent threads (the O(V) compile itself runs outside the lock; two
     racing threads may both simulate, but neither can corrupt the LRU).

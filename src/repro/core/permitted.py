@@ -47,6 +47,9 @@ from repro.graph.model import EdgeKey, NodeId, PropertyGraph
 #: One evicted memoised walk: (``"forward"``/``"backward"``, start node).
 EvictedWalk = Tuple[str, NodeId]
 
+#: Memoised walks of one direction: start -> (collected, visited region).
+_WalkTable = Dict[NodeId, Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]]
+
 #: Either marking source accepted by the traversal functions.
 MarkingSource = Union[MarkingPolicy, CompiledMarkingView]
 
@@ -331,9 +334,14 @@ class VisibleWalkCache:
     (the visited set of its BFS), so :meth:`apply_delta` can evict exactly
     the walks an edge edit can affect — a forward walk examines the edge
     ``(u, v)`` only when ``u`` is in its region, a backward walk only when
-    ``v`` is — instead of clearing the whole cache.  Node-structural deltas
-    (and a markings view that was not carried to the same version first)
-    fail the patch, telling the owner to rebuild.
+    ``v`` is — instead of clearing the whole cache.  A reverse index per
+    direction maps every region node to the starts of the cached walks
+    whose region contains it, so eviction visits only the walks it evicts,
+    never the whole cache.  The first :meth:`apply_delta` builds the index
+    and :meth:`forward`/:meth:`backward` maintain it from then on; a cache
+    that is never patched (a one-shot protect) never pays for it.
+    Node-structural deltas (and a markings view that was not carried to
+    the same version first) fail the patch, telling the owner to rebuild.
     """
 
     __slots__ = (
@@ -344,6 +352,8 @@ class VisibleWalkCache:
         "graph_version",
         "_forward",
         "_backward",
+        "_forward_index",
+        "_backward_index",
     )
 
     def __init__(
@@ -364,9 +374,12 @@ class VisibleWalkCache:
         #: :meth:`apply_delta`; owners must not trust a cache whose version
         #: they cannot reconcile with the graph's).
         self.graph_version = graph.version
-        #: start -> (collected, visited-region), both frozen.
-        self._forward: Dict[NodeId, Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]] = {}
-        self._backward: Dict[NodeId, Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]] = {}
+        self._forward: _WalkTable = {}
+        self._backward: _WalkTable = {}
+        #: region node -> starts of the cached walks whose region holds it;
+        #: ``None`` until the first :meth:`apply_delta`.
+        self._forward_index: Optional[Dict[NodeId, Set[NodeId]]] = None
+        self._backward_index: Optional[Dict[NodeId, Set[NodeId]]] = None
 
     @property
     def graph(self) -> Optional[PropertyGraph]:
@@ -377,52 +390,59 @@ class VisibleWalkCache:
         """Memoised :func:`forward_visible_set` from ``start``."""
         cached = self._forward.get(start)
         if cached is None:
-            collected, visited = _visible_walk(
-                self.graph,
-                self.markings,
-                self.privilege,
-                start,
-                forward=True,
-                anchors=self.anchors,
-            )
-            cached = (frozenset(collected), frozenset(visited))
-            self._forward[start] = cached
+            cached = self._memoise(start, forward=True)
         return cached[0]
 
     def backward(self, start: NodeId) -> FrozenSet[NodeId]:
         """Memoised :func:`backward_visible_set` from ``start``."""
         cached = self._backward.get(start)
         if cached is None:
-            collected, visited = _visible_walk(
-                self.graph,
-                self.markings,
-                self.privilege,
-                start,
-                forward=False,
-                anchors=self.anchors,
-            )
-            cached = (frozenset(collected), frozenset(visited))
-            self._backward[start] = cached
+            cached = self._memoise(start, forward=False)
         return cached[0]
+
+    def _memoise(
+        self, start: NodeId, *, forward: bool
+    ) -> Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]:
+        """Walk from ``start``, cache the walk and index its region (once indexed)."""
+        if forward:
+            walks, index = self._forward, self._forward_index
+        else:
+            walks, index = self._backward, self._backward_index
+        collected, visited = _visible_walk(
+            self.graph,
+            self.markings,
+            self.privilege,
+            start,
+            forward=forward,
+            anchors=self.anchors,
+        )
+        cached = (frozenset(collected), frozenset(visited))
+        walks[start] = cached
+        if index is not None:
+            _index_region(index, start, cached[1])
+        return cached
 
     def cached_walk_count(self) -> int:
         """How many memoised walks the cache currently holds."""
         return len(self._forward) + len(self._backward)
 
     def apply_delta(self, delta: GraphDelta) -> Optional[List[EvictedWalk]]:
-        """Evict only the walks ``delta`` can affect; O(cached walks).
+        """Evict only the walks ``delta`` can affect, through the region index.
 
-        Returns the list of evicted ``(direction, start)`` walks on success
-        (possibly empty — a feature edit, or an edge edit outside every
-        cached region, evicts nothing), or ``None`` when the cache cannot be
-        patched soundly and must be rebuilt: the delta chain does not start
-        at this cache's version, the delta adds/removes *nodes* (the anchor
-        set may change), or the markings view has not been carried to at
-        least the delta's post-version.  (The view being *ahead* — already
-        at the end of a multi-delta chain this cache is still replaying —
-        is fine: eviction reads only the delta's edge endpoints, and any
-        edge whose markings changed is an added/removed edge, which evicts
-        every walk whose region could have read it.)
+        Costs O(evicted walks × their regions), independent of how many
+        walks stay cached (the first call also builds the region index, in
+        one pass over the cache).  Returns the evicted ``(direction,
+        start)`` walks on success, in no particular order (possibly none —
+        a feature edit, or an edge edit outside every cached region, evicts
+        nothing), or ``None`` when the cache cannot be patched soundly and
+        must be rebuilt: the delta chain does not start at this cache's version,
+        the delta adds/removes *nodes* (the anchor set may change), or the
+        markings view has not been carried to at least the delta's
+        post-version.  (The view being *ahead* — already at the end of a
+        multi-delta chain this cache is still replaying — is fine: eviction
+        reads only the delta's edge endpoints, and any edge whose markings
+        changed is an added/removed edge, which evicts every walk whose
+        region could have read it.)
         """
         if delta.pre_version != self.graph_version:
             return None
@@ -433,20 +453,53 @@ class VisibleWalkCache:
             and self.markings.graph_version < delta.post_version
         ):
             return None
+        if self._forward_index is None:
+            self._forward_index = _build_region_index(self._forward)
+            self._backward_index = _build_region_index(self._backward)
         evicted: List[EvictedWalk] = []
         for _added, edge in delta.edge_changes():
-            source, target = edge.source, edge.target
-            for start, (_collected, visited) in list(self._forward.items()):
-                if source in visited:
-                    del self._forward[start]
-                    evicted.append(("forward", start))
-            for start, (_collected, visited) in list(self._backward.items()):
-                if target in visited:
-                    del self._backward[start]
-                    evicted.append(("backward", start))
+            for start in _evict(self._forward, self._forward_index, edge.source):
+                evicted.append(("forward", start))
+            for start in _evict(self._backward, self._backward_index, edge.target):
+                evicted.append(("backward", start))
         self.graph_version = delta.post_version
         record_maintenance("walk_cache", "delta_applied")
         return evicted
+
+
+def _index_region(
+    index: Dict[NodeId, Set[NodeId]], start: NodeId, region: FrozenSet[NodeId]
+) -> None:
+    """Record that the walk from ``start`` traversed every node of ``region``."""
+    for node_id in region:
+        index.setdefault(node_id, set()).add(start)
+
+
+def _build_region_index(walks: _WalkTable) -> Dict[NodeId, Set[NodeId]]:
+    """The region index of every cached walk of one direction."""
+    index: Dict[NodeId, Set[NodeId]] = {}
+    for start, (_collected, region) in walks.items():
+        _index_region(index, start, region)
+    return index
+
+
+def _evict(
+    walks: _WalkTable, index: Dict[NodeId, Set[NodeId]], node_id: NodeId
+) -> Set[NodeId]:
+    """Drop every cached walk whose region holds ``node_id``; returns their starts.
+
+    Each dropped walk is also withdrawn from the index entries of its other
+    region nodes, so the index never names a walk the cache no longer holds.
+    """
+    starts = index.pop(node_id, set())
+    for start in starts:
+        for other in walks.pop(start)[1]:
+            if other != node_id:
+                holders = index[other]
+                holders.discard(start)
+                if not holders:
+                    del index[other]
+    return starts
 
 
 def surrogate_edge_candidates(

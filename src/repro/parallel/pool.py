@@ -6,8 +6,9 @@ shaped for this codebase's failure model:
 * **Warm workers** — every worker runs :func:`repro.parallel.tasks.warm_worker`
   at spawn, so shard tasks never pay the import cost.
 * **Crash detection + bounded respawn** — an abruptly dying worker breaks
-  the whole stdlib executor (`BrokenProcessPool`).  The pool converts that
-  into :class:`WorkerCrashError` — a :class:`~repro.exceptions.TransientError`
+  the whole stdlib executor (`BrokenProcessPool`, raised by a task's
+  result or by a later submission).  The pool converts that into
+  :class:`WorkerCrashError` — a :class:`~repro.exceptions.TransientError`
   — swaps in a fresh executor (generation-guarded, so N tasks failing on
   one crash trigger one respawn), and replays the failed task through the
   PR-6 :class:`~repro.reliability.retry.RetryPolicy`.  The respawn budget
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -166,12 +167,26 @@ class WorkerPool:
     def _submit_raw(
         self, fn: Callable[[Any], Any], payload: Any
     ) -> Tuple[Any, int]:
+        """Submit one task; returns its future and the executor generation.
+
+        A worker that dies while tasks are still being submitted breaks the
+        executor, and ``submit`` itself raises ``BrokenProcessPool``.  That
+        is the crash ``future.result`` reports for a task in flight, so it
+        is handled the same way: the crash is noted at once (the next
+        submission gets a fresh executor) and the task comes back as a
+        failed future, which :meth:`_await` counts and replays through the
+        retry policy.
+        """
         executor, generation = self._ensure_executor()
         with self._lock:
             self._submitted += 1
             self._pending += 1
         try:
             future = executor.submit(fn, payload)
+        except BrokenProcessPool as exc:
+            self._note_crash(generation)
+            future = Future()
+            future.set_exception(exc)
         except BaseException:
             with self._idle:
                 self._pending -= 1

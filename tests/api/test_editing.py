@@ -15,7 +15,11 @@ import pytest
 
 from repro.api import ProtectionRequest, ProtectionService
 from repro.api.editing import _ComponentIndex
-from repro.core.opacity import AdvancedAdversary, opacity_simulations_run
+from repro.core.opacity import (
+    DEFAULT_ADVERSARY,
+    AdvancedAdversary,
+    opacity_simulations_run,
+)
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import figure1_lattice
 from repro.exceptions import ProtectionError
@@ -41,30 +45,35 @@ def build_workload(node_count=120, edge_count=360, seed=21):
     return graph, policy, privileges["Low-2"]
 
 
-def assert_matches_fresh(result, graph, policy, consumer):
+def assert_matches_fresh(
+    result, graph, policy, consumer, adversary=None, normalize_focus=False
+):
     """The session result == a cold protect()+score() of the edited graph."""
-    reference = ProtectionService(graph, policy.copy()).protect(
-        ProtectionRequest(privileges=(consumer,))
+    service = ProtectionService(graph, policy.copy())
+    reference = service.protect(ProtectionRequest(privileges=(consumer,), score=False))
+    scores = service.score(
+        reference.account, adversary=adversary, normalize_focus=normalize_focus
     )
     assert result.account.graph == reference.account.graph
     assert result.account.surrogate_edges == reference.account.surrogate_edges
     assert result.account.correspondence == reference.account.correspondence
-    assert result.scores.path_utility == reference.scores.path_utility
-    assert result.scores.node_utility == reference.scores.node_utility
-    assert result.scores.average_opacity == reference.scores.average_opacity
-    assert result.scores.min_opacity == reference.scores.min_opacity
-    assert result.scores.opacity.per_edge == reference.scores.opacity.per_edge
-    assert (
-        result.scores.utility.path_percentages
-        == reference.scores.utility.path_percentages
-    )
+    assert result.scores.path_utility == scores.path_utility
+    assert result.scores.node_utility == scores.node_utility
+    assert result.scores.average_opacity == scores.average_opacity
+    assert result.scores.min_opacity == scores.min_opacity
+    assert result.scores.opacity.per_edge == scores.opacity.per_edge
+    assert result.scores.utility.path_percentages == scores.utility.path_percentages
     # Key order too: the float averages are order-dependent sums.
     assert list(result.scores.opacity.per_edge.items()) == list(
-        reference.scores.opacity.per_edge.items()
+        scores.opacity.per_edge.items()
     )
     assert list(result.scores.utility.path_percentages.items()) == list(
-        reference.scores.utility.path_percentages.items()
+        scores.utility.path_percentages.items()
     )
+
+
+def _stat(component, event):
+    return view_maintenance_stats().get(component, {}).get(event, 0)
 
 
 class TestEditSessionEquivalence:
@@ -299,10 +308,40 @@ class TestEditSessionBehaviour:
 
 
 class TestOpacityViewReuseAcrossEdits:
+    def test_commit_patches_the_session_simulation_in_place(self):
+        graph, policy, consumer = build_workload(seed=25)
+        service = ProtectionService(graph, policy)
+        session = service.edit(consumer)
+        account_graph = session.account.graph
+        view = session.result.scores.opacity.view
+        assert view is not None
+        version = account_graph.version
+        patches = _stat("opacity_view", "delta_applied")
+        simulations = opacity_simulations_run()
+        shown = next(
+            key
+            for key in graph.edge_keys()
+            if session.account.contains_original_edge(*key)
+        )
+        session.remove_edge(*shown)
+        result = session.commit()
+        assert result.timings_ms["recompile_fallback"] == 0.0
+        assert account_graph.version > version  # the commit changed the account
+        assert result.scores.opacity.view is view
+        assert view.graph_version == account_graph.version
+        assert _stat("opacity_view", "delta_applied") == patches + 1
+        assert opacity_simulations_run() == simulations
+        assert all(
+            cached._graph_ref() is not account_graph
+            for cached in service._opacity_views._entries.values()
+        )
+        assert_matches_fresh(result, graph, policy, consumer)
+        session.close()
+
     def test_commit_patches_the_account_simulation_at_most_once(self):
         # Regression: each account-edge mutation used to dispatch its own
-        # delta, cloning the whole O(V) simulation once per edge; the diff
-        # now commits as one batch -> at most one patched copy per commit.
+        # delta, patching the simulation once per edge; the diff now
+        # commits as one batch -> at most one patch per commit.
         graph, policy, consumer = build_workload(seed=25)
         service = ProtectionService(graph, policy)
         session = service.edit(consumer)
@@ -457,19 +496,21 @@ def _tier_edit(session, graph, rng):
     return None
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
-def test_random_edit_scripts_stay_exact_including_key_order(family):
+COMMITS = 60
+
+
+def run_random_edit_script(family, adversary=None, normalize_focus=False):
+    """Run a seeded random edit script, each commit checked against a fresh one.
+
+    Returns how many commits rescored every hidden edge.
+    """
     graph, policy, consumer = family()
     service = ProtectionService(graph, policy)
-    session = service.edit(consumer)
+    session = service.edit(consumer, adversary=adversary, normalize_focus=normalize_focus)
     rng = random.Random(FAMILY_IDS[FAMILIES.index(family)])
-    def rescored():
-        return view_maintenance_stats().get("edit_session", {}).get("opacity_rescored", 0)
-
-    rescored_before = rescored()
+    rescored_before = _stat("edit_session", "opacity_rescored")
     removed = []
-    commits = 60
-    for step in range(commits):
+    for step in range(COMMITS):
         for _edit in range(rng.randint(1, 3)):
             roll = rng.random()
             edges = graph.edge_keys()
@@ -495,15 +536,62 @@ def test_random_edit_scripts_stay_exact_including_key_order(family):
                     removed.append(edge)
         result = session.commit()
         assert result.timings_ms["recompile_fallback"] == 0.0
-        assert_matches_fresh(result, graph, policy, consumer)
+        assert_matches_fresh(
+            result, graph, policy, consumer, adversary, normalize_focus
+        )
     session.close()
+    return _stat("edit_session", "opacity_rescored") - rescored_before
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_random_edit_scripts_stay_exact_including_key_order(family):
+    rescores = run_random_edit_script(family)
     # Both opacity paths ran: some commits moved the adversary's weights
     # (every hidden edge rescored), most carried the other values over.  The
     # social example only hides edges at nodes its account drops, so it
     # never needs the adversary simulation at all.
-    rescores = rescored() - rescored_before
-    assert rescores < commits
+    assert rescores < COMMITS
     assert rescores > 0 or family is social_family
+
+
+class NonLocalAdversary:
+    """The default adversary's tiers, without declaring ``LOCAL_WEIGHTS``.
+
+    Every in-place patch of its simulation is refused, so each commit that
+    changes the account compiles a fresh view and compares its weight maps
+    with the stale one's.
+    """
+
+    def focus_probability(self, account_graph, node_id):
+        return DEFAULT_ADVERSARY.focus_probability(account_graph, node_id)
+
+    def inference_probability(self, account_graph, node_id):
+        return DEFAULT_ADVERSARY.inference_probability(account_graph, node_id)
+
+
+ADVERSARY_VARIANTS = [
+    (None, True),
+    (AdvancedAdversary.figure5(), False),
+    (NonLocalAdversary(), False),
+    (NonLocalAdversary(), True),
+]
+ADVERSARY_IDS = ["normalized", "figure5", "non-local", "non-local-normalized"]
+
+
+# The social example never needs the adversary simulation (see above).
+@pytest.mark.parametrize("family", FAMILIES[:3], ids=FAMILY_IDS[:3])
+@pytest.mark.parametrize("adversary,normalize_focus", ADVERSARY_VARIANTS, ids=ADVERSARY_IDS)
+def test_random_edit_scripts_stay_exact_for_every_adversary(
+    family, adversary, normalize_focus
+):
+    patches = _stat("opacity_view", "delta_applied")
+    rescores = run_random_edit_script(family, adversary, normalize_focus)
+    # Both opacity paths ran, as above.
+    assert 0 < rescores < COMMITS
+    # A delta-local adversary's simulation was patched in place; any other
+    # was recompiled and compared on every commit that changed the account.
+    local = not isinstance(adversary, NonLocalAdversary)
+    assert (_stat("opacity_view", "delta_applied") > patches) is local
 
 
 # ---------------------------------------------------------------------- #

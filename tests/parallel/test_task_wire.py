@@ -18,7 +18,7 @@ from repro.graph.model import PropertyGraph
 from repro.graph.serialization import graph_to_dict
 from repro.parallel import wire
 
-from conftest import WORKLOAD_IDS, WORKLOADS
+from tests.parallel.conftest import WORKLOAD_IDS, WORKLOADS
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,8 @@ that for every maintainer:
 * :class:`~repro.core.opacity.CompiledOpacityView.apply_delta` and
   :meth:`~repro.core.opacity.CompiledOpacityView.derive_for`,
 * :class:`~repro.core.permitted.VisibleWalkCache.apply_delta` (delta-scoped
-  walk eviction),
+  walk eviction through the region index, checked against a scan of every
+  cached walk),
 * the account-level caches (:class:`~repro.api.cache.AccountCache`,
   :class:`~repro.core.opacity.OpacityViewCache`) under mixed edit scripts,
 
@@ -25,6 +26,7 @@ under-tested ``remove_node`` (with incident edges) and
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -105,6 +107,60 @@ def apply_random_edit(graph, rng, step):
         graph.add_edge(source, target, label=f"r{step}", replace=True, create_nodes=True)
 
 
+def apply_random_edge_edit(graph, rng, step):
+    """One random edit that leaves the node set alone (walk caches patch these)."""
+    nodes = graph.node_ids()
+    edges = graph.edge_keys()
+    roll = rng.random()
+    if roll < 0.35 and edges:
+        graph.remove_edge(*rng.choice(edges))
+    elif roll < 0.65:
+        source, target = rng.sample(nodes, 2)
+        if not graph.has_edge(source, target):
+            graph.add_edge(source, target, label=f"e{step}")
+    elif roll < 0.75 and edges:
+        source, target = rng.choice(edges)
+        graph.add_edge(source, target, label=f"r{step}", replace=True)
+    elif roll < 0.85:
+        graph.set_node_features(rng.choice(nodes), {"step": step})
+    else:
+        with graph.batch():
+            for _edit in range(rng.randint(2, 4)):
+                edges = graph.edge_keys()
+                if edges and rng.random() < 0.5:
+                    graph.remove_edge(*rng.choice(edges))
+                else:
+                    source, target = rng.sample(nodes, 2)
+                    if not graph.has_edge(source, target):
+                        graph.add_edge(source, target)
+
+
+def region_index(walks_by_start):
+    """Region node -> starts of the walks whose region holds it, rebuilt."""
+    index = {}
+    for start, (_collected, region) in walks_by_start.items():
+        for node_id in region:
+            index.setdefault(node_id, set()).add(start)
+    return index
+
+
+def scan_evictions(walks, delta):
+    """The walks a scan over every cached walk evicts for ``delta``."""
+    forward = dict(walks._forward)
+    backward = dict(walks._backward)
+    evicted = set()
+    for _added, edge in delta.edge_changes():
+        for start, (_collected, region) in list(forward.items()):
+            if edge.source in region:
+                del forward[start]
+                evicted.add(("forward", start))
+        for start, (_collected, region) in list(backward.items()):
+            if edge.target in region:
+                del backward[start]
+                evicted.add(("backward", start))
+    return evicted
+
+
 @pytest.mark.parametrize("workload", WORKLOADS, ids=WORKLOAD_IDS)
 class TestMarkingViewMaintenance:
     def test_patched_view_equals_fresh_compile_under_random_edits(self, workload):
@@ -144,11 +200,29 @@ class TestMarkingViewMaintenance:
         assert maintained.edge_state_table == fresh.edge_state_table
 
 
+@dataclass(frozen=True)
+class FocusOnlyAdversary:
+    """Focus falls with degree, inference is flat: the two weights move apart."""
+
+    LOCAL_WEIGHTS = True
+
+    def focus_probability(self, account_graph, node_id):
+        return 1.0 / (1 + account_graph.neighbor_count(node_id))
+
+    def inference_probability(self, account_graph, node_id):
+        return 0.5
+
+
 @pytest.mark.parametrize("workload", WORKLOADS, ids=WORKLOAD_IDS)
 @pytest.mark.parametrize(
     "adversary",
-    [NaiveAdversary(), AdvancedAdversary(), AdvancedAdversary.figure5()],
-    ids=["naive", "advanced", "figure5"],
+    [
+        NaiveAdversary(),
+        AdvancedAdversary(),
+        AdvancedAdversary.figure5(),
+        FocusOnlyAdversary(),
+    ],
+    ids=["naive", "advanced", "figure5", "focus-only"],
 )
 class TestOpacityViewMaintenance:
     def test_patched_view_equals_fresh_compile_under_random_edits(
@@ -162,7 +236,13 @@ class TestOpacityViewMaintenance:
         for step in range(40):
             apply_random_edit(graph, rng, step)
             for delta in graph.deltas_since(last_version):
+                focus = dict(view.focus_weights)
+                inference = dict(view.inference_weights)
+                revision = view.weights_revision
                 assert view.apply_delta(delta, adversary)
+                # The revision moves exactly when some weight did.
+                moved = view.focus_weights != focus or view.inference_weights != inference
+                assert view.weights_revision == revision + moved
             last_version = graph.version
             fresh = CompiledOpacityView.compile(graph, adversary)
             assert view.focus_weights == fresh.focus_weights
@@ -272,6 +352,47 @@ class TestWalkCacheMaintenance:
         evicted = walks.apply_delta(delta)
         assert evicted is not None
         assert len(evicted) < populated  # only intersecting walks went
+
+    def test_region_index_eviction_matches_a_full_scan(self, workload):
+        graph, policy, consumer = workload()
+        graph.enable_delta_log()
+        privilege = policy.lattice.get(consumer)
+        view = policy.markings.compile(graph, consumer)
+        walks = VisibleWalkCache(graph, view, privilege)
+        rng = random.Random(23)
+        evicted_total = 0
+        walks.forward(graph.node_ids()[0])
+        assert walks._forward_index is None  # built by the first patch only
+        for step in range(40):
+            # A partly filled cache: eviction must find walks, not sweep them.
+            for node_id in rng.sample(graph.node_ids(), len(graph) // 2):
+                if rng.random() < 0.5:
+                    walks.forward(node_id)
+                else:
+                    walks.backward(node_id)
+            version = graph.version
+            apply_random_edge_edit(graph, rng, step)
+            view = policy.markings.compile(graph, consumer)  # patched in place
+            for delta in graph.deltas_since(version):
+                expected = scan_evictions(walks, delta)
+                evicted = walks.apply_delta(delta)
+                assert evicted is not None
+                assert len(evicted) == len(set(evicted)) == len(expected), step
+                assert set(evicted) == expected, step
+                evicted_total += len(evicted)
+            if walks._forward_index is not None:
+                assert walks._forward_index == region_index(walks._forward), step
+                assert walks._backward_index == region_index(walks._backward), step
+            # Every walk the patch kept answers as a fresh walk would.
+            fresh = VisibleWalkCache(graph, view, privilege)
+            for start, cached in walks._forward.items():
+                fresh.forward(start)
+                assert cached == fresh._forward[start], step
+            for start, cached in walks._backward.items():
+                fresh.backward(start)
+                assert cached == fresh._backward[start], step
+        assert evicted_total > 0
+        assert walks._forward_index is not None
 
     def test_node_structural_delta_demands_rebuild(self, workload):
         graph, policy, consumer = workload()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import apply_random_edit, random_family
+from tests.replication.conftest import apply_random_edit, random_family
 
 from repro.api.registry import ServiceRegistry
 from repro.api.service import ProtectionService

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from conftest import apply_random_edit, graph_state
+from tests.replication.conftest import apply_random_edit, graph_state
 
 from repro.api.service import ProtectionService
 from repro.core.markings import CompiledMarkingView

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import POLICY_SPEC, ApiClient, small_graph_payload
+from tests.server.conftest import POLICY_SPEC, ApiClient, small_graph_payload
 
 from repro.replication.wire import VECTOR_HEADER, encode_vector
 from repro.server.app import ServerConfig, start_server_thread
