@@ -26,20 +26,11 @@ Environment switches:
     Run the synthetic experiments at the paper's full scale (50 graphs ×
     200 nodes) instead of the reduced quick family, and benchmark the
     8 000-node scaling case with full statistics (quick mode times it once).
-
-``REPRO_BENCH_WORKERS=N``
-    Worker-process count for the parallel scaling case (and any benchmark
-    that shards batches through a :class:`repro.parallel.WorkerPool`).
-    Unset, the parallel case sizes its pool from ``os.cpu_count()``
-    (capped at 8).  The requested value is recorded in the emitted
-    ``BENCH_scaling.json`` so trajectory points from differently-sized
-    runners stay comparable.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 import pytest
 
@@ -49,21 +40,7 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "0") not in {"0", "", "false", "False"}
 
 
-def bench_workers() -> Optional[int]:
-    """The worker count requested via ``REPRO_BENCH_WORKERS`` (None = auto)."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
-    if not raw or raw in {"0", "false", "False"}:
-        return None
-    return max(1, int(raw))
-
-
 @pytest.fixture(scope="session")
 def bench_quick() -> bool:
     """Whether benchmarks should use the reduced synthetic family."""
     return not full_scale()
-
-
-@pytest.fixture(scope="session")
-def requested_workers() -> Optional[int]:
-    """The ``REPRO_BENCH_WORKERS`` override, if any."""
-    return bench_workers()

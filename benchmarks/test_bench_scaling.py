@@ -60,16 +60,6 @@ through the durable delta log, a fresh follower catches up in one poll
 — the p50s are only recorded after the follower's result payload is
 asserted bit-identical to the leader's.
 
-A ``parallel`` section (PR 10) tracks the process-pool execution layer on
-an 8 000-node (4 graphs × 2 000 nodes) multi-graph ``protect_many`` batch
-— each entry a cold surrogate compile plus its opacity scoring — served
-serially and then through a :class:`repro.parallel.WorkerPool`, plus the
-parallel ``warm_opacity_views`` sweep over the same graphs.  The speedup
-is only *asserted* on runners with ≥ 8 cores (single-core CI cannot
-speed up by adding processes), but the bit-identity gate always holds:
-no number is recorded until every pooled result payload equals its
-serial twin exactly.  ``REPRO_BENCH_WORKERS`` overrides the pool size.
-
 Quick mode (the default) benchmarks the 500- and 2 000-node cases and runs
 the 8 000-node case once for the JSON trajectory; ``REPRO_BENCH_FULL=1``
 benchmarks all three sizes.
@@ -79,7 +69,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import pathlib
 import random
 import tempfile
@@ -102,7 +91,7 @@ from repro.core.utility import utility_report
 from repro.store.engine import GraphStore
 from repro.workloads.random_graphs import random_digraph, sample_edges
 
-from benchmarks.conftest import bench_workers, full_scale
+from benchmarks.conftest import full_scale
 
 #: (node count, edge count) per scaling step.
 SIZES = [(500, 1_500), (2_000, 6_000), (8_000, 24_000)]
@@ -151,11 +140,6 @@ REPLICATION_SIZE = (2_000, 6_000)
 REPLICATION_EDITS = 300
 REPLICATION_READS = 15
 
-#: Graph count and per-graph size of the parallel protect_many case
-#: (4 × 2 000 = 8 000 nodes total, the acceptance-criteria workload).
-PARALLEL_GRAPHS = 4
-PARALLEL_SIZE = (2_000, 6_000)
-
 #: Where the trajectory point lands (repo root, next to ROADMAP.md).
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
@@ -167,7 +151,6 @@ _incremental = {}
 _recovery = {}
 _store = {}
 _replication = {}
-_parallel = {}
 
 
 def build_workload(node_count, edge_count, seed=_SEED):
@@ -779,98 +762,6 @@ def measure_replication():
     }
 
 
-def measure_parallel():
-    """Serial vs pool-sharded ``protect_many`` on the 8k-node multi-graph batch.
-
-    Each batch entry is a cold surrogate compile over its own 2 000-node
-    graph (5% of edges protected, scored for opacity over exactly those
-    edges — the sweep-driver shape), so a shard really carries O(V + E)
-    generate + simulate work.  The serial and pooled runs use *fresh but
-    content-identical* builds (same seeds), and the recorded speedup only
-    counts after every pooled :func:`result_payload` equals its serial
-    twin bit-for-bit.  The parallel ``warm_opacity_views`` sweep over the
-    same graphs is timed alongside.  Pool spawn cost is paid outside the
-    timed region (one warm-up echo), matching how a serving process keeps
-    its pool warm across batches.
-    """
-    from repro.parallel import WorkerPool
-    from repro.parallel.tasks import echo
-    from repro.server.encoding import result_payload
-
-    node_count, edge_count = PARALLEL_SIZE
-    workers = bench_workers() or min(8, os.cpu_count() or 1)
-
-    def build_batch():
-        lattice, _privileges = figure1_lattice()
-        policy = ReleasePolicy(lattice)
-        requests = []
-        for offset in range(PARALLEL_GRAPHS):
-            graph = random_digraph(node_count, edge_count, seed=_SEED + offset)
-            edges = tuple(
-                sample_edges(graph, max(1, edge_count // 20), seed=_SEED + offset)
-            )
-            requests.append(
-                ProtectionRequest(
-                    privileges=(lattice.public,),
-                    protect_edges=edges,
-                    opacity_edges=edges,
-                    graph=graph,
-                )
-            )
-        return ProtectionService(None, policy), requests
-
-    serial_service, serial_requests = build_batch()
-    gc.collect()
-    start = time.perf_counter()
-    serial_results = serial_service.protect_many(serial_requests)
-    serial_s = time.perf_counter() - start
-
-    pooled_service, pooled_requests = build_batch()
-    warm_service, warm_requests = build_batch()
-    with WorkerPool(workers) as pool:
-        pool.run(echo, {})  # spawn + import outside the clock
-        gc.collect()
-        start = time.perf_counter()
-        pooled_results = pooled_service.protect_many(pooled_requests, pool=pool)
-        parallel_s = time.perf_counter() - start
-        stats = pool.stats()
-
-        # Exactness gate: every pooled payload equals its serial twin.
-        assert [result_payload(result) for result in pooled_results] == [
-            result_payload(result) for result in serial_results
-        ]
-
-        # Parallel opacity warm-up over the same graphs.
-        serial_warm_service, serial_warm_requests = build_batch()
-        serial_graphs = [request.graph for request in serial_warm_requests]
-        start = time.perf_counter()
-        warmed_serial = serial_warm_service.warm_opacity_views(serial_graphs)
-        opacity_serial_s = time.perf_counter() - start
-        pooled_graphs = [request.graph for request in warm_requests]
-        start = time.perf_counter()
-        warmed_pooled = warm_service.warm_opacity_views(pooled_graphs, pool=pool)
-        opacity_parallel_s = time.perf_counter() - start
-        assert warmed_serial == warmed_pooled == PARALLEL_GRAPHS
-
-    return {
-        "graphs": PARALLEL_GRAPHS,
-        "nodes_per_graph": node_count,
-        "edges_per_graph": edge_count,
-        "total_nodes": PARALLEL_GRAPHS * node_count,
-        "workers": workers,
-        "workers_env": bench_workers(),
-        "cpu_count": os.cpu_count(),
-        "serial_batch_s": round(serial_s, 6),
-        "parallel_batch_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 2),
-        "results_equal": True,
-        "opacity_warm_serial_s": round(opacity_serial_s, 6),
-        "opacity_warm_parallel_s": round(opacity_parallel_s, 6),
-        "pool_submitted": stats["submitted"],
-        "pool_respawns": stats["respawns"],
-    }
-
-
 def _write_trajectory():
     """Fill in any un-benchmarked sizes, then write BENCH_scaling.json."""
     for node_count, edge_count in SIZES:
@@ -893,13 +784,10 @@ def _write_trajectory():
         _store.update(measure_store())
     if not _replication:
         _replication.update(measure_replication())
-    if not _parallel:
-        _parallel.update(measure_parallel())
     payload = {
         "benchmark": "protect_and_score_scaling",
         "workload": "random_digraph seed=7, 10% protected nodes, 5% protected edges, Low-2 consumer",
         "full_scale": full_scale(),
-        "bench_workers_env": bench_workers(),
         "sizes": [_results[nodes] for nodes, _ in SIZES],
         "serving": dict(_serving),
         "opacity": dict(_opacity),
@@ -907,7 +795,6 @@ def _write_trajectory():
         "recovery": dict(_recovery),
         "store": dict(_store),
         "replication": dict(_replication),
-        "parallel": dict(_parallel),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -1016,22 +903,6 @@ def test_bench_replication_catchup_and_parity(bench_quick):
     assert _replication["follower_over_leader_read_ratio"] < 25.0
 
 
-def test_bench_parallel_protect_many(bench_quick):
-    """Parallel case: pool-sharded batches are exact always, fast on big iron.
-
-    The measurement gates on bit-identity (see :func:`measure_parallel`):
-    no number is recorded until every pooled result payload equals its
-    serial twin.  The ≥ 3× speedup is asserted only where it is physically
-    possible — runners with at least 8 cores; a single-core runner still
-    runs the full pooled path and the exactness gate.
-    """
-    _parallel.update(measure_parallel())
-    assert _parallel["results_equal"] is True
-    assert _parallel["pool_submitted"] >= 1
-    if (os.cpu_count() or 1) >= 8 and _parallel["workers"] >= 8:
-        assert _parallel["speedup"] >= 3.0
-
-
 def test_bench_scaling_writes_trajectory(bench_quick):
     """Shape-check the emitted BENCH_scaling.json (runs in plain test mode)."""
     _write_trajectory()
@@ -1053,8 +924,3 @@ def test_bench_scaling_writes_trajectory(bench_quick):
     assert written["recovery"]["speedup"] >= 5.0
     assert written["store"]["reachability"]["results_equal"] is True
     assert written["store"]["warm_restart"]["speedup"] >= 5.0
-    assert written["parallel"]["results_equal"] is True
-    assert written["parallel"]["total_nodes"] == PARALLEL_GRAPHS * PARALLEL_SIZE[0]
-    assert written["parallel"]["workers"] >= 1
-    if (os.cpu_count() or 1) >= 8 and written["parallel"]["workers"] >= 8:
-        assert written["parallel"]["speedup"] >= 3.0

@@ -13,14 +13,8 @@ from a :class:`repro.api.ServiceRegistry`; the example then demonstrates
 
 Run with::
 
-    python examples/multi_tenant_serving.py [--workers N]
-
-``--workers N`` shards the cross-graph batch (step 3) across N worker
-processes via ``protect_many(..., parallel=N)`` — the printed results are
-bit-identical to the serial run, only the wall clock changes.
+    python examples/multi_tenant_serving.py
 """
-
-import argparse
 
 from repro import ProtectionRequest, ServiceRegistry
 from repro.core.markings import Marking
@@ -52,15 +46,6 @@ def build_policy() -> ReleasePolicy:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the cross-graph batch (default 0: serial)",
-    )
-    args = parser.parse_args()
-
     # 1. One registry, two tenants with different budgets.
     registry = ServiceRegistry()  # pass base_dir= for durable per-tenant stores
     registry.register("police", max_requests=1000)
@@ -87,8 +72,7 @@ def main() -> None:
             ProtectionRequest(privileges=("Public",), graph=case_a),
             ProtectionRequest(privileges=("High",), graph=case_a),
             ProtectionRequest(privileges=("Public",), graph=case_b),
-        ],
-        parallel=args.workers or None,
+        ]
     )
     for result in results:
         print(

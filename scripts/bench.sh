@@ -16,18 +16,12 @@
 #   scripts/bench.sh replicate # just the leader/follower case (delta-log catch-up
 #                              # deltas/sec + read-path parity p50 vs the leader;
 #                              # refreshes BENCH_scaling.json)
-#   scripts/bench.sh parallel  # just the process-pool case (serial vs pool-sharded
-#                              # protect_many + parallel opacity warm-up; exactness
-#                              # always asserted, the ≥3× speedup gate only on ≥8-core
-#                              # machines; refreshes BENCH_scaling.json)
 #   scripts/bench.sh serve     # live-server latency case: boots the HTTP frontend and
 #                              # drives it with 8 concurrent clients; writes BENCH_serving.json
 #   scripts/bench.sh smoke     # tier-1-equivalent smoke: full test suite, no benchmarks
 #
 # Set REPRO_BENCH_FULL=1 to run the synthetic experiments at paper scale and
 # to benchmark the 8k-node scaling case with full statistics.
-# Set REPRO_BENCH_WORKERS=N to size the parallel case's worker pool (default:
-# os.cpu_count(), capped at 8); the value is recorded in BENCH_scaling.json.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,15 +70,6 @@ case "${1:-all}" in
     # including the replication section.
     python -m pytest benchmarks/test_bench_scaling.py -q -k replication
     ;;
-  parallel)
-    # Plain test mode: the 8k-node multi-graph batch served serially and
-    # through the worker pool (bit-identity asserted before any number is
-    # recorded); the module teardown rewrites the trajectory file including
-    # the parallel section.  This is where speedup is measured — CI asserts
-    # only exactness (tests/parallel at N=2), since its runners may have a
-    # single core.
-    python -m pytest benchmarks/test_bench_scaling.py -q -k parallel
-    ;;
   serve)
     # Plain test mode: boots a ProtectionServer on a background thread and
     # measures cached-replay/cold-compile/streaming latency over real
@@ -100,7 +85,7 @@ case "${1:-all}" in
     python -m pytest benchmarks/ --benchmark-only -q
     ;;
   *)
-    echo "usage: scripts/bench.sh [all|scaling|opacity|edits|recovery|store|replicate|parallel|serve|smoke]" >&2
+    echo "usage: scripts/bench.sh [all|scaling|opacity|edits|recovery|store|replicate|serve|smoke]" >&2
     exit 2
     ;;
 esac

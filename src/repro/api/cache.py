@@ -219,29 +219,6 @@ class AccountCache:
             namespace.stats.misses += 1
             return None
 
-    def contains(
-        self,
-        tenant: str,
-        graph: PropertyGraph,
-        policy: ReleasePolicy,
-        fingerprint: Hashable,
-    ) -> bool:
-        """Whether a live entry exists, without touching LRU order or stats.
-
-        Routing layers (the server's pool dispatch, parallel
-        ``protect_many`` sharding) use this peek to decide *where* a
-        request runs; the authoritative counted lookup still happens on
-        the serving path, so hit/miss accounting matches the serial
-        execution.
-        """
-        key = self.key_for(graph, policy, fingerprint)
-        with self._lock:
-            namespace = self._tenants.get(tenant)
-            if namespace is None:
-                return False
-            entry = namespace.entries.get(key)
-            return entry is not None and entry.alive_for(graph, policy)
-
     def store(
         self,
         tenant: str,

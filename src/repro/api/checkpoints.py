@@ -18,8 +18,10 @@ visible sets, generate the account, run the adversary simulation, score.  A
   :class:`~repro.api.cache.AccountCache` (the first ``protect()`` after a
   warm restart is a cache hit).
 
-Every checkpoint is stamped with the store's write-log sequence number and
-the delta-bus journal stamp.  On :func:`restore_service`, three paths:
+Every checkpoint is stamped with the store's write-log sequence number,
+which is all a restore needs to tell what changed since: catch-up reads
+the store's write log, never an in-memory delta record.  On
+:func:`restore_service`, three paths:
 
 **warm**
     The write log shows nothing happened since the stamp: every piece is
@@ -612,9 +614,7 @@ def _marking_view_from_dict(
     return view
 
 
-def _opacity_view_to_dict(
-    view: CompiledOpacityView, account_nodes: Optional[Any] = None
-) -> Dict[str, Any]:
+def _opacity_view_to_dict(view: CompiledOpacityView, account_nodes: Any) -> Dict[str, Any]:
     """Serialise a compiled opacity view, exact-Fraction totals included.
 
     ``account_nodes`` (the account graph's node dict) lets the weight maps
@@ -878,14 +878,15 @@ def _account_from_checkpoint(
 # --------------------------------------------------------------------------- #
 def _scores_to_dict(
     scores: ScoreCard,
-    graph_nodes: Optional[Any] = None,
-    removed_keys: Optional[List[Tuple[Any, Any]]] = None,
+    graph_nodes: Any,
+    removed_keys: Optional[List[Tuple[Any, Any]]],
 ) -> Dict[str, Any]:
     """Serialise a full ScoreCard (per-node and per-edge breakdowns included).
 
     ``graph_nodes`` (the protected graph's node dict) and ``removed_keys``
-    (the edges the account diff drops, in diff order) let the per-node and
-    per-edge maps be written as value groups (see :func:`_pack_number_map`).
+    (the edges the account diff drops, in diff order; ``None`` when the
+    account is stored whole) let the per-node and per-edge maps be written
+    as value groups (see :func:`_pack_number_map`).
     """
     return {
         "utility": {
@@ -906,8 +907,8 @@ def _scores_to_dict(
 def _scores_from_dict(
     payload: Dict[str, Any],
     opacity_view: Optional[CompiledOpacityView],
-    graph_nodes: Optional[Any] = None,
-    removed_keys: Optional[List[Tuple[Any, Any]]] = None,
+    graph_nodes: Any,
+    removed_keys: Optional[List[Tuple[Any, Any]]],
 ) -> ScoreCard:
     """Rebuild a ScoreCard; ``opacity_view`` rides along for cached re-scores."""
     utility = UtilityReport(
@@ -1038,7 +1039,6 @@ def write_checkpoint(
         "node_count": len(graph.node_ids()),
         "edge_count": len(graph.edge_keys()),
         "wal_next_seq": store.storage.wal.next_seq,
-        "delta_journal_seq": service.delta_bus.journal_seq,
         "tenant": service.tenant,
         "policy_crc": _policy_crc(service.policy),
         "adversary_crc": _adversary_crc(effective_adversary),

@@ -203,9 +203,6 @@ class ProtectionService:
         #: account-cache eviction, opacity-view patching, compiled-view
         #: catch-up — instead of blanket version checks and recompiles).
         self.delta_bus = DeltaBus()
-        # The journal is what service checkpoints stamp; enabling it up
-        # front costs one bounded deque and makes every service restorable.
-        self.delta_bus.enable_journal()
         self.delta_bus.subscribe(self.cache.on_delta)
         self.delta_bus.subscribe(self._opacity_views.on_delta)
         self._attached_graphs: Dict[int, Tuple["weakref.ref[PropertyGraph]", int]] = {}
@@ -317,13 +314,7 @@ class ProtectionService:
             self._stamp_cache_stats(timings, hit=False)
         return result
 
-    def protect_many(
-        self,
-        requests: Iterable[RequestLike],
-        *,
-        parallel: Optional[int] = None,
-        pool: Optional[object] = None,
-    ) -> List[ProtectionResult]:
+    def protect_many(self, requests: Iterable[RequestLike]) -> List[ProtectionResult]:
         """Run several requests, sharing compiled state between them.
 
         Each element may be a full request or a bare privilege, and requests
@@ -341,254 +332,21 @@ class ProtectionService:
         recompiles.  The exception is requests with ``protect_edges``: those
         generate on a scoped one-shot policy copy whose compiled state dies
         with the request, so only their issuing convenience is batched.
-
-        ``parallel=N`` (or an explicit ``pool=``, a
-        :class:`~repro.parallel.pool.WorkerPool`) shards the cold
-        fingerprint groups across worker processes: each (graph, policy,
-        privilege) compiles exactly once on exactly one worker, results
-        merge back through the checkpoint payload codec so this service
-        ends warm, and the returned accounts/scores are bit-identical to
-        the serial execution.  Requests the pool cannot express — custom
-        adversaries, ``persist_as`` side effects, already-cached
-        fingerprints — run inline on this process, so mixing them into a
-        parallel batch is safe.
         """
         coerced: List[ProtectionRequest] = [
             self._coerce_request(request, None, None, {}) for request in requests
         ]
-        owned_pool = None
-        if pool is None and parallel is not None and parallel > 1 and len(coerced) > 1:
-            from repro.parallel import WorkerPool
-
-            pool = owned_pool = WorkerPool(parallel)
-        try:
-            if pool is not None and coerced:
-                sharded = self._protect_many_parallel(coerced, pool)
-                if sharded is not None:
-                    return sharded
-            # Group by target graph (first-appearance order), keeping each
-            # request's original position so the result list lines up.
-            groups: Dict[int, List[Tuple[int, ProtectionRequest]]] = {}
-            for position, request in enumerate(coerced):
-                graph = self._effective_graph(request)
-                groups.setdefault(id(graph), []).append((position, request))
-            results: List[Optional[ProtectionResult]] = [None] * len(coerced)
-            for group in groups.values():
-                for position, request in group:
-                    results[position] = self._execute(request)
-            return [result for result in results if result is not None]
-        finally:
-            if owned_pool is not None:
-                owned_pool.shutdown()
-
-    def _protect_many_parallel(
-        self, coerced: List[ProtectionRequest], pool: object
-    ) -> Optional[List[ProtectionResult]]:
-        """Shard a coerced batch across ``pool``; ``None`` → use the serial path.
-
-        Positions are classified once, with no side effects, into three
-        lanes: *dispatched* (cold, wire-expressible fingerprint groups —
-        exactly one representative per (graph, fingerprint) ships to a
-        worker), *inline* (unshippable or already cached), and *deferred*
-        (duplicate fingerprints, replayed after the merge so they hit the
-        freshly warmed cache exactly like the serial execution's duplicate
-        hits).  The whole shard-merge cycle holds the generation lock: the
-        graph and policy must not mutate between packing a task and
-        merging its compiled views back.
-
-        Returns ``None`` when sharding cannot help — a service-level
-        custom adversary the wire cannot carry, or fewer than two
-        dispatchable requests.
-        """
-        from repro.parallel import tasks as worker_tasks
-        from repro.parallel import wire
-
-        adversary_spec = wire.pack_adversary(self.adversary)
-        if adversary_spec is None:
-            return None
-        with self._generation_lock:
-            graph_by_id: Dict[int, PropertyGraph] = {}
-            inline: List[int] = []
-            deferred: List[int] = []
-            seen_groups: Dict[Tuple[int, object], int] = {}
-            shard: Dict[int, List[Tuple[int, ProtectionRequest, Dict[str, Any]]]] = {}
-            for position, request in enumerate(coerced):
-                graph = self._effective_graph(request)
-                graph_by_id[id(graph)] = graph
-                adversary = (
-                    request.adversary if request.adversary is not None else self.adversary
-                )
-                fingerprint = request.cache_fingerprint(adversary=adversary)
-                spec = wire.pack_request(request) if fingerprint is not None else None
-                if spec is None:
-                    inline.append(position)
-                    continue
-                if request.use_cache:
-                    if self.cache.contains(self.tenant, graph, self.policy, fingerprint):
-                        inline.append(position)
-                        continue
-                    group_key = (id(graph), fingerprint)
-                    if group_key in seen_groups:
-                        deferred.append(position)
-                        continue
-                    seen_groups[group_key] = position
-                shard.setdefault(id(graph), []).append((position, request, spec))
-            if not shard:
-                return None
-
-            # Quota parity with the serial loop: every dispatched position
-            # charges one request up front (inline/deferred positions charge
-            # inside _execute).
-            if self.quota is not None:
-                for entries in shard.values():
-                    for _ in entries:
-                        self.quota.charge_request()
-
-            policy_payload = wire.pack_policy(self.policy)
-            tasks: List[Tuple[Dict[str, Any], List[Tuple[int, ProtectionRequest]], PropertyGraph]] = []
-            for graph_id, entries in shard.items():
-                graph = graph_by_id[graph_id]
-                graph_payload = wire.pack_graph(graph)
-                chunk_count = min(getattr(pool, "workers", 1), len(entries))
-                for index in range(chunk_count):
-                    chunk = entries[index::chunk_count]
-                    tasks.append(
-                        (
-                            {
-                                "graph": graph_payload,
-                                "policy": policy_payload,
-                                "adversary": adversary_spec,
-                                "requests": [spec for (_, _, spec) in chunk],
-                            },
-                            [(pos, req) for (pos, req, _) in chunk],
-                            graph,
-                        )
-                    )
-            outcomes = pool.map(
-                worker_tasks.protect_shard, [payload for payload, _, _ in tasks]
-            )
-
-            results: List[Optional[ProtectionResult]] = [None] * len(coerced)
-            for (_, positions, graph), outcome in zip(tasks, outcomes):
-                for (position, request), result_payload in zip(
-                    positions, outcome["results"]
-                ):
-                    adversary = (
-                        request.adversary
-                        if request.adversary is not None
-                        else self.adversary
-                    )
-                    start = time.perf_counter()
-                    merged, _worker_timings = wire.merge_group_result(
-                        self, graph, request, result_payload, adversary
-                    )
-                    timings = dict(merged.timings_ms)
-                    timings["pool_merge"] = (time.perf_counter() - start) * 1000.0
-                    fingerprint = request.cache_fingerprint(adversary=adversary)
-                    if fingerprint is not None:
-                        memoised = ProtectionResult(
-                            request=request.with_options(graph=None),
-                            account=merged.account,
-                            scores=merged.scores,
-                            timings_ms={},
-                            stored_as=None,
-                        )
-                        self.cache.store(
-                            self.tenant, graph, self.policy, fingerprint, memoised
-                        )
-                        self._stamp_cache_stats(timings, hit=False)
-                    results[position] = ProtectionResult(
-                        request=request,
-                        account=merged.account,
-                        scores=merged.scores,
-                        timings_ms=timings,
-                        stored_as=None,
-                    )
-            # Inline lanes run last: deferred duplicates now hit the warmed
-            # cache and return the same memoised account object the serial
-            # execution's duplicate hits would have shared.
-            for position in inline:
-                results[position] = self._execute(coerced[position])
-            for position in deferred:
-                results[position] = self._execute(coerced[position])
+        # Group by target graph (first-appearance order), keeping each
+        # request's original position so the result list lines up.
+        groups: Dict[int, List[Tuple[int, ProtectionRequest]]] = {}
+        for position, request in enumerate(coerced):
+            graph = self._effective_graph(request)
+            groups.setdefault(id(graph), []).append((position, request))
+        results: List[Optional[ProtectionResult]] = [None] * len(coerced)
+        for group in groups.values():
+            for position, request in group:
+                results[position] = self._execute(request)
         return [result for result in results if result is not None]
-
-    def warm_opacity_views(
-        self,
-        account_graphs: Iterable[PropertyGraph],
-        *,
-        adversary: Optional[AttackerModel] = None,
-        parallel: Optional[int] = None,
-        pool: Optional[object] = None,
-    ) -> int:
-        """Pre-compile opacity simulations, fanning one task per graph.
-
-        Each (account graph, adversary) pair not already in the view cache
-        is simulated — on worker processes when ``parallel``/``pool`` is
-        given and the adversary is wire-expressible, inline otherwise —
-        and seeded into :attr:`_opacity_views`, so subsequent
-        :meth:`score` calls run **zero** simulations.  The seeded views
-        are rebuilt from the exact-Fraction checkpoint payload, so scores
-        computed against them are bit-identical to a local compile.
-        Returns the number of views compiled.
-        """
-        from repro.api.checkpoints import _opacity_view_from_dict
-        from repro.parallel import tasks as worker_tasks
-        from repro.parallel import wire
-
-        chosen = adversary if adversary is not None else self.adversary
-        effective = chosen if chosen is not None else DEFAULT_ADVERSARY
-        targets = [
-            graph
-            for graph in account_graphs
-            if self._opacity_views.peek(graph, effective) is None
-        ]
-        if not targets:
-            return 0
-        spec = wire.pack_adversary(chosen)
-        owned_pool = None
-        if pool is None and parallel is not None and parallel > 1 and len(targets) > 1:
-            from repro.parallel import WorkerPool
-
-            pool = owned_pool = WorkerPool(parallel)
-        try:
-            if pool is None or spec is None or len(targets) < 2:
-                for graph in targets:
-                    self._opacity_views.get_or_compile(graph, effective)
-                return len(targets)
-            payloads = [
-                {"name": graph.name, "graph": wire.pack_graph(graph), "adversary": spec}
-                for graph in targets
-            ]
-            outcomes = pool.map(worker_tasks.opacity_shard, payloads)
-            for graph, outcome in zip(targets, outcomes):
-                view = _opacity_view_from_dict(outcome["view"], graph, chosen)
-                self._opacity_views.seed(graph, effective, view)
-            return len(targets)
-        finally:
-            if owned_pool is not None:
-                owned_pool.shutdown()
-
-    def is_cached(self, request: RequestLike) -> bool:
-        """Whether this request would answer from the account cache right now.
-
-        A non-counting peek (LRU order and hit/miss statistics are
-        untouched), used by routing layers — the HTTP server sends cold
-        compiles to its worker pool and keeps cached replays on the
-        event-loop executor.  ``False`` for uncacheable requests
-        (``persist_as``, unhashable adversaries, ``use_cache=False``).
-        """
-        coerced = self._coerce_request(request, None, None, {})
-        if not coerced.use_cache:
-            return False
-        adversary = (
-            coerced.adversary if coerced.adversary is not None else self.adversary
-        )
-        fingerprint = coerced.cache_fingerprint(adversary=adversary)
-        if fingerprint is None:
-            return False
-        graph = self._effective_graph(coerced)
-        return self.cache.contains(self.tenant, graph, self.policy, fingerprint)
 
     def protect_all_classes(self) -> Dict[str, ProtectionResult]:
         """One scored result per declared privilege, keyed by privilege name."""
@@ -886,10 +644,7 @@ class ProtectionService:
             ),
             "cache": self.cache.stats(self.tenant).as_dict(),
             "opacity_views": len(self._opacity_views),
-            "delta_bus": {
-                "listeners": len(self.delta_bus),
-                **self.delta_bus.journal_stats(),
-            },
+            "delta_bus": {"listeners": len(self.delta_bus)},
             "store": store_health,
             "retry": retry_stats,
             "serving": self.serving() if self.serving is not None else None,

@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--full", action="store_true", help="use the paper-scale synthetic family")
         sub.add_argument("--seed", type=int, default=2011, help="random seed for workload generation")
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="worker processes sharding the experiment batch"
-            " (default 0: serial; results are identical either way)",
-        )
         if name == "figure10":
             sub.add_argument("--nodes", type=int, default=200, help="graph size for the timing run")
 
@@ -164,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("file", "sqlite"),
         help="storage backend for tenant stores (default: auto-detect;"
         " file for fresh roots)",
-    )
-    http_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for cold compiles (default 0: everything"
-        " runs on the executor threads)",
     )
     http_serve.add_argument(
         "--threads",
@@ -489,7 +475,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=getattr(args, "threads", 4),
-        pool_workers=args.workers or None,
         store_root=args.store_root,
         store_engine=getattr(args, "store_engine", None),
         replicate=getattr(args, "replicate", False),
@@ -672,16 +657,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     quick = not getattr(args, "full", False)
     seed = getattr(args, "seed", 2011)
-    workers = getattr(args, "workers", 0) or None
 
     if args.command == "table1":
         _print(run_table1().render())
     elif args.command == "figure7":
-        _print(run_figure7(workers=workers).render())
+        _print(run_figure7().render())
     elif args.command == "figure8":
         _print(run_figure8(quick=quick, seed=seed).render())
     elif args.command == "figure9":
-        _print(run_figure9(quick=quick, seed=seed, workers=workers).render())
+        _print(run_figure9(quick=quick, seed=seed).render())
     elif args.command == "figure10":
         _print(run_figure10(node_count=args.nodes, seed=seed).render())
     elif args.command == "all":

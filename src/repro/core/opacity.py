@@ -736,29 +736,6 @@ class OpacityViewCache:
             self._entries[key] = view
         return view
 
-    def peek(
-        self,
-        account_graph: PropertyGraph,
-        adversary: AttackerModel,
-    ) -> Optional[CompiledOpacityView]:
-        """The cached current view, or ``None`` — no LRU touch, no compile.
-
-        Parallel warm-up (:meth:`ProtectionService.warm_opacity_views
-        <repro.api.service.ProtectionService.warm_opacity_views>`) peeks
-        before fanning simulations out to worker processes, so already
-        warm graphs are never re-shipped.
-        """
-        key = (
-            id(account_graph),
-            account_graph.version,
-            adversary_fingerprint(adversary),
-        )
-        with self._lock:
-            view = self._entries.get(key)
-            if view is not None and view.is_current_for(account_graph, adversary):
-                return view
-            return None
-
     def seed(
         self,
         account_graph: PropertyGraph,

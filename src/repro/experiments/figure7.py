@@ -123,11 +123,7 @@ def compare_motif(
     return _comparison_from_results(motif, hide, surrogate)
 
 
-def run_figure7(
-    *,
-    adversary: Optional[AttackerModel] = None,
-    workers: Optional[int] = None,
-) -> Figure7Result:
+def run_figure7(*, adversary: Optional[AttackerModel] = None) -> Figure7Result:
     """Reproduce Figure 7 over every motif of Figure 6.
 
     All seven motifs run as **one** cross-graph
@@ -135,8 +131,7 @@ def run_figure7(
     multi-graph service (each request carries its motif's graph), the same
     serving shape the Figures-8/9 sweep uses; per-motif results are
     identical to :func:`compare_motif` because both paths score through the
-    compiled opacity engine.  ``workers=N`` shards the batch across N
-    worker processes (results are bit-identical to the serial run).
+    compiled opacity engine.
     """
     adversary = adversary if adversary is not None else AdvancedAdversary()
     policy = ReleasePolicy(PrivilegeLattice())
@@ -145,7 +140,7 @@ def run_figure7(
     requests: List[ProtectionRequest] = []
     for motif in motifs:
         requests.extend(_motif_requests(motif, policy.lattice.public, with_graph=True))
-    results = service.protect_many(requests, parallel=workers)
+    results = service.protect_many(requests)
     result = Figure7Result()
     for index, motif in enumerate(motifs):
         result.comparisons.append(

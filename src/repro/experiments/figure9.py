@@ -81,16 +81,9 @@ def run_figure9(
     seed: int = 2011,
     instances: Optional[Sequence[SyntheticInstance]] = None,
     adversary: Optional[AttackerModel] = None,
-    workers: Optional[int] = None,
 ) -> Figure9Result:
-    """Reproduce Figure 9 over the synthetic family (reduced family when ``quick``).
-
-    ``workers=N`` shards the underlying sweep batch across worker
-    processes; the records are bit-identical to the serial run.
-    """
-    records = run_synthetic_sweep(
-        instances, quick=quick, seed=seed, adversary=adversary, workers=workers
-    )
+    """Reproduce Figure 9 over the synthetic family (reduced family when ``quick``)."""
+    records = run_synthetic_sweep(instances, quick=quick, seed=seed, adversary=adversary)
     result = Figure9Result(records=list(records))
     for fraction, group in group_by_protection(records).items():
         result.by_protection.points[fraction] = {

@@ -147,7 +147,6 @@ def run_synthetic_sweep(
     seed: int = 2011,
     adversary: Optional[AttackerModel] = None,
     service: Optional[ProtectionService] = None,
-    workers: Optional[int] = None,
 ) -> List[SweepRecord]:
     """Measure every instance of the synthetic family as one cross-graph batch.
 
@@ -160,9 +159,7 @@ def run_synthetic_sweep(
     multi-graph service — each instance's two requests carry the instance's
     graph — so per-graph compiled views are built exactly once per batch.
     Pass a shared ``service`` (see :func:`sweep_service`) to make repeated
-    sweeps over the same instances replay from its account cache, and
-    ``workers=N`` to shard the batch across N worker processes (results
-    are bit-identical to the serial run).
+    sweeps over the same instances replay from its account cache.
     """
     if instances is None:
         if quick:
@@ -187,7 +184,7 @@ def run_synthetic_sweep(
     requests: List[ProtectionRequest] = []
     for instance in instances:
         requests.extend(instance_requests(instance, public))
-    results = service.protect_many(requests, parallel=workers)
+    results = service.protect_many(requests)
     records: List[SweepRecord] = []
     for index, instance in enumerate(instances):
         hide, surrogate = results[2 * index], results[2 * index + 1]

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import enum
 import threading
-import weakref
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.graph.model import Edge, Node, PropertyGraph
@@ -161,9 +160,6 @@ class DeltaBus:
         self._listeners: Dict[int, DeltaListener] = {}
         self._next_token = 0
         self._lock = threading.Lock()
-        self._journal: Optional[Deque[Tuple[int, object, GraphDelta]]] = None
-        self._journal_seq = 0
-        self._journal_dropped = 0
 
     def subscribe(self, listener: DeltaListener) -> int:
         """Register a listener; returns a token for :meth:`unsubscribe`."""
@@ -182,76 +178,8 @@ class DeltaBus:
         """Deliver one delta to every listener (the graph calls this)."""
         with self._lock:
             listeners = list(self._listeners.values())
-            if self._journal is not None:
-                self._journal_seq += 1
-                if (
-                    self._journal.maxlen is not None
-                    and len(self._journal) == self._journal.maxlen
-                ):
-                    self._journal_dropped += 1
-                self._journal.append((self._journal_seq, weakref.ref(graph), delta))
         for listener in listeners:
             listener(graph, delta)
-
-    # ------------------------------------------------------------------ #
-    # journal (the seq-stamped delta log service checkpoints record)
-    # ------------------------------------------------------------------ #
-    def enable_journal(self, capacity: Optional[int] = 4096) -> None:
-        """Start journalling dispatched deltas (bounded to ``capacity``).
-
-        Every delta the bus dispatches after this call is stamped with a
-        monotonically increasing sequence number and kept (graph held
-        weakly).  Service checkpoints record the stamp current at
-        checkpoint time; a warm restart calls :meth:`deltas_since` with it
-        to catch restored views up — or, when the journal cannot prove
-        continuity, falls back to a full recompile.
-        """
-        with self._lock:
-            if self._journal is None:
-                self._journal = deque(maxlen=capacity)
-
-    @property
-    def journal_seq(self) -> int:
-        """The stamp of the most recently journalled delta (0 when none)."""
-        return self._journal_seq
-
-    def deltas_since(self, seq: int) -> Optional[List[Tuple[int, Optional["PropertyGraph"], GraphDelta]]]:
-        """Journalled ``(seq, graph, delta)`` entries after ``seq``, in order.
-
-        Returns ``None`` when the journal cannot *prove* it holds the
-        complete suffix — it is disabled, ``seq`` is from the future, or
-        eviction dropped entries in the requested range.  Callers must
-        treat ``None`` as "recompile from scratch", never as "no changes".
-        Entries whose graph has been garbage-collected carry ``None`` in
-        the graph slot.
-        """
-        with self._lock:
-            if self._journal is None or seq > self._journal_seq:
-                return None
-            entries = list(self._journal)
-        out: List[Tuple[int, Optional["PropertyGraph"], GraphDelta]] = []
-        expected = seq + 1
-        for entry_seq, graph_ref, delta in entries:
-            if entry_seq <= seq:
-                continue
-            if entry_seq != expected:  # eviction opened a gap
-                return None
-            expected += 1
-            out.append((entry_seq, graph_ref(), delta))  # type: ignore[operator]
-        if not out and seq < self._journal_seq:
-            return None  # everything after ``seq`` was evicted
-        return out
-
-    def journal_stats(self) -> Dict[str, object]:
-        """Journal health for ``service.health()``."""
-        with self._lock:
-            return {
-                "enabled": self._journal is not None,
-                "seq": self._journal_seq,
-                "entries": len(self._journal) if self._journal is not None else 0,
-                "dropped": self._journal_dropped,
-                "capacity": self._journal.maxlen if self._journal is not None else None,
-            }
 
     def attach(self, graph: "PropertyGraph") -> int:
         """Subscribe this bus to ``graph`` (enabling its delta log) and

@@ -31,8 +31,8 @@ Design notes
   construction is skipped entirely while nobody is listening.
 * A graph rebuilt from rows goes through one path,
   :meth:`PropertyGraph.from_rows`: decoding
-  (:func:`~repro.graph.serialization.graph_from_dict`, the pool wire, paged
-  SQLite loads), ``networkx`` import, the PLUS Build Graph phase,
+  (:func:`~repro.graph.serialization.graph_from_dict`, paged SQLite
+  loads), ``networkx`` import, the PLUS Build Graph phase,
   :meth:`~PropertyGraph.subgraph` and :meth:`~PropertyGraph.reverse` all
   hand it rows.  (Generators that grow a graph edge by edge, such as
   account generation, use the mutators.)  It makes the checks
@@ -287,20 +287,25 @@ class PropertyGraph:
         log = self._delta_log
         if log is None or version > self._version:
             return None
-        for index, delta in enumerate(log):
-            if delta.pre_version == version:
-                chain = log[index:]
-                # Defensive contiguity check: a hole (e.g. a batch whose
-                # composite could not be recorded) must never be bridged.
-                expected = version
-                for entry in chain:
-                    if entry.pre_version != expected:
-                        return None
-                    expected = entry.post_version
-                if expected != self._version:
-                    return None
-                return chain
-        return None
+        # Every logged delta advances the version by exactly one and a
+        # tainted batch clears the log, so the chain is the log's last
+        # ``self._version - version`` entries.  A negative start means the
+        # log no longer reaches back that far (it must not wrap around).
+        index = len(log) - (self._version - version)
+        if index < 0:
+            return None
+        chain = log[index:]
+        # Defensive contiguity check, starting with
+        # ``log[index].pre_version == version``: a hole (e.g. a batch whose
+        # composite could not be recorded) must never be bridged.
+        expected = version
+        for entry in chain:
+            if entry.pre_version != expected:
+                return None
+            expected = entry.post_version
+        if expected != self._version:
+            return None
+        return chain
 
     def _commit(self, kind: DeltaKind, **payload: object) -> None:
         """Record one mutation: version bump + delta emission (or batch defer)."""

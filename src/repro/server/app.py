@@ -11,7 +11,7 @@ Request lifecycle::
 
     parse → authenticate (bearer token → tenant) → admit (per-tenant
     bounded lane) → decode (graph/policy payloads deduplicated by content
-    digest onto shared objects) → execute on the pool → encode
+    digest onto shared objects) → execute on an executor thread → encode
 
 Deduplication is the performance story: equal graph and policy payloads
 resolve to the *same* in-memory objects, so the
@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import logging
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -98,11 +97,6 @@ class ServerConfig:
     port: int = 0
     #: Executor threads serving requests (cached replays, decode, merge).
     workers: int = 4
-    #: Worker *processes* for cold compiles (``repro serve --workers``);
-    #: ``None``/0 keeps every compile on the executor threads.
-    pool_workers: Optional[int] = None
-    #: Per-task wall-clock budget on the process pool, seconds.
-    pool_timeout: Optional[float] = 120.0
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
     max_sessions_per_tenant: int = 16
@@ -195,9 +189,6 @@ class ProtectionServer:
         self.port: Optional[int] = None
         #: Per-endpoint latency histograms (route pattern → histogram).
         self.latency = LatencyRegistry()
-        #: Cold-compile process pool (created in :meth:`start` when
-        #: ``config.pool_workers`` is set).
-        self.pool: Optional[Any] = None
 
     # ------------------------------------------------------------------ #
     # tenant management
@@ -226,12 +217,6 @@ class ProtectionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
-        if self.config.pool_workers:
-            from repro.parallel import WorkerPool
-
-            self.pool = WorkerPool(
-                self.config.pool_workers, timeout_s=self.config.pool_timeout
-            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -251,12 +236,6 @@ class ProtectionServer:
             writer.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        if self.pool is not None:
-            # Executor threads are gone, so no new pool submissions can
-            # race this: let in-flight worker tasks settle, then release
-            # the processes.
-            self.pool.drain(self.config.drain_timeout)
-            self.pool.shutdown(wait=True)
         if self.replication is not None:
             self.replication.close()
         return {"drained": drained, "closed_sessions": closed_sessions}
@@ -377,12 +356,6 @@ class ProtectionServer:
         headers: Dict[str, object] = {}
         retry_after = retry_after_for(exc)
         if retry_after is not None:
-            if self.pool is not None and self.pool.depth:
-                # A deep worker-pool backlog means admission capacity will
-                # not free up at the usual rate: stretch the client's
-                # back-off by the backlog's expected drain time (≥1 s per
-                # full wave of busy workers).
-                retry_after += max(1, math.ceil(self.pool.depth / self.pool.workers))
             headers["Retry-After"] = retry_after
         if status_for(exc) == 401:
             headers["WWW-Authenticate"] = "Bearer"
@@ -486,23 +459,7 @@ class ProtectionServer:
             "admission": self.admission.tenant_snapshot(tenant),
             "sessions": self.sessions.count(tenant),
             "draining": self.admission.draining,
-            "pool": self.pool.stats() if self.pool is not None else None,
         }
-
-    def _protect_one(
-        self, service: ProtectionService, protection_request: Any
-    ) -> Any:
-        """Executor-thread body for one protect: cold compiles go to the pool.
-
-        Cached replays answer inline (a cache lookup — milliseconds, no
-        reason to cross a process boundary); cold compiles ship to the
-        worker pool when one is configured, keeping the O(V+E) generate +
-        simulate work off this process's GIL.  Requests the pool cannot
-        express fall back to the inline path inside ``protect_many``.
-        """
-        if self.pool is not None and not service.is_cached(protection_request):
-            return service.protect_many([protection_request], pool=self.pool)[0]
-        return service.protect(protection_request)
 
     def _resolve_enforcer(
         self, tenant: str, body: Mapping[str, Any]
@@ -549,7 +506,6 @@ class ProtectionServer:
         serving["sessions"] = self.sessions.count()
         serving["connections"] = len(self._connections)
         serving["latency"] = self.latency.snapshot()
-        serving["pool"] = self.pool.stats() if self.pool is not None else None
         tenants: Dict[str, Any] = {}
         degraded = False
         for tenant in self.registry.tenants():
@@ -599,7 +555,7 @@ class ProtectionServer:
         _, graph = self._resolve_graph(tenant, body)
         _, _, service = self._resolve_service(tenant, body)
         protection_request = decode_protection_request(body, graph)
-        result = await self._run(self._protect_one, service, protection_request)
+        result = await self._run(service.protect, protection_request)
         return (
             200,
             {
@@ -638,7 +594,7 @@ class ProtectionServer:
         failed = 0
         for index, protection_request in enumerate(decoded):
             try:
-                result = await self._run(self._protect_one, service, protection_request)
+                result = await self._run(service.protect, protection_request)
             except ReproError as exc:
                 failed += 1
                 line = {"index": index, **error_envelope(exc)}
@@ -668,7 +624,7 @@ class ProtectionServer:
         merged = dict(body)
         merged["score"] = True
         protection_request = decode_protection_request(merged, graph)
-        result = await self._run(self._protect_one, service, protection_request)
+        result = await self._run(service.protect, protection_request)
         assert result.scores is not None  # score=True above
         return (
             200,

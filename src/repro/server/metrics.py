@@ -9,8 +9,8 @@ observation (a bisect into 18 bounds under a lock), fine enough to tell a
 
 Quantiles are estimated from the bucket upper bounds (the standard
 Prometheus-style histogram_quantile read): an estimate is exact to within
-one bucket width, which at log-scale means within 2× — plenty to watch
-pool routing move the tail.
+one bucket width, which at log-scale means within 2× — plenty to tell
+a cache hit from a cold compile in the tail.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Differential tests for the bulk construction paths of :class:`PropertyGraph`.
 
 Every whole-graph build — :meth:`PropertyGraph.copy`, decoding with
-:func:`graph_from_dict`, the pool wire's :func:`unpack_graph` and the
-SQLite engine's paged load — must produce exactly the graph that calling
+:func:`graph_from_dict` and the SQLite engine's paged load — must produce exactly the graph that calling
 :meth:`~PropertyGraph.add_node` per node and :meth:`~PropertyGraph.add_edge`
 per edge produces: the same node order, edge order, per-node successor and
 predecessor order, :attr:`~PropertyGraph.version` and equality.  The inputs
@@ -26,7 +25,6 @@ from repro.exceptions import (
 from repro.api.checkpoints import _apply_graph_diff, _encode_diff, _graph_diff
 from repro.graph.model import PropertyGraph, _edge, _edges_from_columns
 from repro.graph.serialization import graph_from_dict, graph_to_dict
-from repro.parallel.wire import pack_graph, unpack_graph
 from repro.store.sqlite import PagingStats, SQLiteGraphStorage, load_graph_paged
 from repro.workloads.motifs import all_motifs
 from repro.workloads.random_graphs import random_digraph
@@ -111,7 +109,6 @@ def sqlite_round_trip(graph: PropertyGraph) -> PropertyGraph:
 BULK_PATHS = {
     "copy": lambda graph: graph.copy(),
     "graph_from_dict": lambda graph: graph_from_dict(graph_to_dict(graph)),
-    "unpack_graph": lambda graph: unpack_graph(pack_graph(graph)),
     "load_graph_paged": sqlite_round_trip,
 }
 

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.graph.deltas import DeltaBus, DeltaKind, GraphDelta, view_maintenance_stats
-from repro.graph.model import PropertyGraph
+from repro.graph.model import DELTA_LOG_LIMIT, PropertyGraph
 
 
 def tracked_graph():
@@ -209,6 +209,33 @@ class TestDeltaLog:
         graph, _ = tracked_graph()
         graph.add_node("a")
         assert graph.deltas_since(graph.version + 5) is None
+
+    def test_full_log_matches_a_scan_for_every_covered_version(self):
+        graph = PropertyGraph()
+        graph.enable_delta_log()
+        for index in range(DELTA_LOG_LIMIT + 40):
+            graph.add_node(f"n{index}")
+            if index % 3 == 2:  # a composite batch delta every few steps
+                graph.add_bidirectional_edge(f"n{index - 1}", f"n{index}")
+        log = graph._delta_log
+        assert len(log) == DELTA_LOG_LIMIT
+
+        def scanned_chain(version):
+            if version == graph.version:
+                return []
+            for start, delta in enumerate(log):
+                if delta.pre_version == version:
+                    return log[start:]
+            return None
+
+        oldest = log[0].pre_version
+        for version in range(oldest, graph.version + 1):
+            chain = graph.deltas_since(version)
+            assert chain is not None
+            assert chain == scanned_chain(version)
+        # One version older than the log reaches: the start index would be
+        # -1, which must not wrap around to the newest entry.
+        assert graph.deltas_since(oldest - 1) is None
 
 
 class TestSubscriptions:

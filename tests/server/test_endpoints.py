@@ -296,6 +296,13 @@ def test_health_reports_serving_counters(client: ApiClient) -> None:
     acme_lane = serving["tenants"]["acme"]
     assert acme_lane["completed"] >= 1
     assert acme_lane["ewma_service_ms"] > 0
+    latency = serving["latency"]
+    protect = latency["POST /v1/protect"]
+    assert protect["count"] >= 1
+    assert protect["p50_ms"] > 0
+    assert sum(protect["buckets"].values()) == protect["count"]
+    # Labels are route *patterns*: no concrete paths, no cardinality blowup.
+    assert all(" /v1/" in label or label == "unrouted" for label in latency)
     # The per-tenant service health carries the serving hook's stats too.
     tenant_health = response.body["tenants"]["acme"]
     assert tenant_health["serving"]["admission"]["completed"] >= 1

@@ -244,7 +244,7 @@ class TestServeCommand:
                 "--tenant", "acme=sekrit",
                 "--tenant", "globex",
                 "--max-requests", "5",
-                "--workers", "2",
+                "--threads", "2",
                 "--check",
                 "--json",
             ]
