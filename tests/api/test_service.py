@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro.core.markings as markings_module
@@ -18,6 +21,7 @@ from repro.exceptions import (
     ProtectionError,
     StoreError,
 )
+from repro.graph.deltas import DeltaKind, GraphDelta
 from repro.graph.serialization import graph_to_dict
 from repro.security.credentials import Consumer
 from repro.security.enforcement import EnforcementMode, QueryEnforcer
@@ -188,6 +192,27 @@ class TestProtectMany:
         after = service.protect(privilege="High-2", score=False).account
         assert not after.represents("b")
         assert before.represents("b")
+
+
+class TestDeltaBus:
+    def test_service_bus_keeps_no_dispatched_delta(self, figure2b):
+        # The bus only fans deltas out to the caches; restart catch-up reads
+        # the store's write-log, so nothing may hold on to a dispatched delta.
+        service = ProtectionService(figure2b.graph, figure2b.policy)
+        service.protect(privilege="High-2")
+        graph = figure2b.graph
+        seen = []
+        service.delta_bus.subscribe(lambda _graph, delta: seen.append(delta.kind))
+        delta = GraphDelta(
+            kind=DeltaKind.ADD_NODE, pre_version=graph.version, post_version=graph.version + 1
+        )
+        ref = weakref.ref(delta)
+        service.delta_bus.dispatch(graph, delta)
+        del delta
+        gc.collect()
+        assert seen == [DeltaKind.ADD_NODE]
+        assert ref() is None
+        assert service.health()["delta_bus"] == {"listeners": 3}
 
 
 class TestPersistence:

@@ -238,6 +238,101 @@ class TestDeltaLog:
         assert graph.deltas_since(oldest - 1) is None
 
 
+def scanned_chain(graph, version):
+    """The chain found by walking the whole log: the reference for the arithmetic."""
+    if version == graph.version:
+        return []
+    log = graph._delta_log or []
+    for start, delta in enumerate(log):
+        if delta.pre_version == version:
+            chain, expected = log[start:], version
+            for entry in chain:
+                if entry.pre_version != expected:
+                    return None
+                expected = entry.post_version
+            return chain if expected == graph.version else None
+    return None
+
+
+def grow(graph, count, *, prefix="n", batched=False):
+    for index in range(count):
+        node_id = f"{prefix}{index}"
+        if batched and index:
+            with graph.batch():
+                graph.add_node(node_id)
+                graph.add_edge(f"{prefix}{index - 1}", node_id)
+        else:
+            graph.add_node(node_id)
+
+
+def log_partly_filled():
+    graph = PropertyGraph()
+    graph.enable_delta_log()
+    grow(graph, 30)
+    return graph
+
+
+def log_enabled_after_a_bulk_build():
+    # The constructor sets the version before any log exists.
+    graph = PropertyGraph.from_rows(
+        [(f"b{index}", None, None) for index in range(12)],
+        [(f"b{index}", f"b{index + 1}", None, None) for index in range(11)],
+    )
+    graph.enable_delta_log()
+    grow(graph, 20)
+    return graph
+
+
+def log_cleared_by_a_tainted_batch():
+    graph = PropertyGraph()
+    grow(graph, 5, prefix="t")
+    with graph.batch():
+        graph.add_edge("t0", "t1")  # nobody listening: taints the batch
+        graph.enable_delta_log()
+        graph.add_edge("t1", "t2")
+    grow(graph, 15)
+    return graph
+
+
+def log_of_batches():
+    graph = PropertyGraph()
+    graph.enable_delta_log()
+    grow(graph, 40, batched=True)
+    return graph
+
+
+def log_trimmed_to_a_smaller_limit():
+    graph = PropertyGraph()
+    graph.enable_delta_log(limit=16)
+    grow(graph, 40)
+    graph.enable_delta_log(limit=8)
+    return graph
+
+
+LOG_SHAPES = {
+    "partly-filled": log_partly_filled,
+    "enabled-after-a-bulk-build": log_enabled_after_a_bulk_build,
+    "cleared-by-a-tainted-batch": log_cleared_by_a_tainted_batch,
+    "batches": log_of_batches,
+    "trimmed-to-a-smaller-limit": log_trimmed_to_a_smaller_limit,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LOG_SHAPES))
+def test_deltas_since_agrees_with_a_log_scan_for_every_version(shape):
+    graph = LOG_SHAPES[shape]()
+    log = graph._delta_log
+    assert log, "every shape ends with a non-empty log"
+    covered = 0
+    for version in range(graph.version + 2):
+        chain = graph.deltas_since(version)
+        assert chain == scanned_chain(graph, version), version
+        covered += chain is not None
+    # Exactly the versions from the oldest logged one to the present reconstruct.
+    assert covered == len(log) + 1
+    assert graph.deltas_since(log[0].pre_version) == log
+
+
 class TestSubscriptions:
     def test_unsubscribe(self):
         graph = PropertyGraph()

@@ -227,6 +227,24 @@ def rewrite_checkpoint(path, edit):
     path.write_text(_wrap(payload), encoding="utf-8")
 
 
+def test_checkpoint_written_with_a_delta_journal_seq_still_restores_warm(tmp_path):
+    # Checkpoints no longer record the delta-bus journal position; files
+    # of the same format written before that still carry the key, and
+    # restore ignores it (catch-up reads the store's write-log instead).
+    store, service = first_boot(tmp_path)
+    result = service.protect(privilege="Public")
+    path = service.checkpoint(result, name="svc")
+    assert "delta_journal_seq" not in _unwrap(path.read_bytes())
+    rewrite_checkpoint(path, lambda payload: payload.update(delta_journal_seq=41))
+
+    store2, service2 = reboot(tmp_path)
+    report = service2.restore(name="svc")
+    assert report.mode == "warm", report.reason
+    warm = service2.protect(privilege="Public")
+    assert warm.timings_ms["cache_hit"] == 1.0
+    assert warm.scores.average_opacity == result.scores.average_opacity
+
+
 def test_warm_restore_rebuilds_the_account_from_the_graph(tmp_path):
     store, service = first_boot(tmp_path)
     result = service.protect(privilege="Public")

@@ -28,6 +28,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "command", ["table1", "figure7", "figure8", "figure9", "figure10", "all", "serve"]
+    )
+    def test_no_command_takes_a_workers_flag(self, command, capsys):
+        # Every command runs on the one serial path; no flag selects another.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1_output(self, capsys):
