@@ -44,14 +44,12 @@ and rescores everything.  The acceptance bar is a ≥ 5× warm-restart
 speedup; the delta catch-up restore (write-log tail applied to the
 restored view) is timed alongside.
 
-A ``store`` section (PR 8) tracks the SQLite storage engine against the
-JSON file engine: cold store open + graph materialization on the 8k-node
-workload, interval-indexed SQL reachability (recursive CTE over persisted
-pre/post ranges, zero graphs resident) against Python BFS on a deep
-provenance tree — the bench refuses to record a ratio until both paths
-return identical closures on every probe — and the PR-6 warm-restart case
-re-run end-to-end on the SQLite engine, where the ≥ 5× acceptance bar must
-hold just as it does on the file engine.
+A ``store`` section tracks the SQLite store: cold store open + graph
+materialization on the 8k-node workload, and interval-indexed SQL
+reachability (recursive CTE over persisted pre/post ranges, zero graphs
+resident) against open + materialize + Python BFS over the same root on a
+deep provenance tree — the bench refuses to record a ratio until both paths
+return identical closures on every probe.
 
 A ``replication`` section (PR 9) tracks the leader/follower stack on the
 2k-node workload: a published graph streams a few hundred structural edits
@@ -71,6 +69,7 @@ import gc
 import json
 import pathlib
 import random
+import statistics
 import tempfile
 import time
 
@@ -117,11 +116,13 @@ RECOVERY_TAIL = 50
 #: Alternating cold/warm timing rounds per side in the recovery case.
 RECOVERY_ROUNDS = 5
 
-#: Size of the store-engine cold-load case and the reachability tree, plus
-#: how many nodes the differential reachability bench probes.
+#: Size of the store's cold-load case and the reachability tree, how many
+#: nodes the differential reachability bench probes, and how many
+#: alternating rounds each reachability side is timed for.
 STORE_SIZE = (8_000, 24_000)
 REACH_TREE_NODES = 8_000
 REACH_PROBES = 40
+REACH_ROUNDS = 7
 
 #: Edits sampled for the (expensive) full-recompile baseline; its per-edit
 #: cost is flat — every edit recompiles the same O(V + E) state — so a few
@@ -534,149 +535,87 @@ def _provenance_tree(node_count, seed=_SEED):
 
 
 def measure_store():
-    """The SQLite engine vs the file engine: loads, reachability, restarts.
+    """The SQLite store on the 8k-node workload: cold loads and reachability.
 
-    Three cases land in the trajectory:
+    Two cases land in the trajectory:
 
     * ``cold_load`` — open a durable 8k-node store and materialize the
-      graph, per engine (the SQLite side streams pages; the file side
-      parses one JSON snapshot).
-    * ``reachability`` — cold store open + ancestor/descendant closures
-      for ``REACH_PROBES`` sampled nodes of a deep provenance tree,
-      through the engine-level ``lineage()`` API on both engines: the
-      file engine parses its snapshot and walks BFS, the SQLite engine
-      answers from the persisted pre/post interval index with **zero**
-      graphs resident.  The ratio is only recorded after every probe's
-      SQL closure equals its BFS closure exactly.
-    * ``warm_restart`` — the PR-6 recovery case re-run with
-      ``engine="sqlite"``: checkpoint, reboot, restore, first protect from
-      the seeded cache, against the cold recompile.  The ≥ 5× acceptance
-      bar is asserted on this engine too.
+      graph (paged row loads).
+    * ``reachability`` — ancestor/descendant closures for ``REACH_PROBES``
+      sampled nodes of a deep provenance tree, two ways over the same root:
+      a cold open whose ``lineage()`` calls answer from the persisted
+      pre/post interval index with **zero** graphs resident, against a cold
+      open that materializes the graph and walks BFS.  The two sides
+      alternate for ``REACH_ROUNDS`` rounds each and the ratio compares
+      their medians; it is only recorded after every SQL closure equals
+      its BFS closure exactly.
     """
     from repro.graph.traversal import ancestors, descendants
 
     node_count, edge_count = STORE_SIZE
-    graph, policy, consumer = build_workload(node_count, edge_count)
+    graph, _, _ = build_workload(node_count, edge_count)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        cold_load = {}
-        for engine in ("file", "sqlite"):
-            seeded = GraphStore(root / engine, engine=engine)
-            seeded.put_graph(graph, name="bench")
-            seeded.checkpoint()
-            if engine == "sqlite":
-                seeded.storage.db.close()
-            start = time.perf_counter()
-            reopened = GraphStore(root / engine, engine=engine)
-            loaded = reopened.graph("bench")
-            cold_load[f"{engine}_s"] = round(time.perf_counter() - start, 6)
-            assert loaded.node_count() == node_count
-        cold_load.update(nodes=node_count, edges=edge_count)
+        seeded = GraphStore(root / "load")
+        seeded.put_graph(graph, name="bench")
+        seeded.checkpoint()
+        seeded = None
+        start = time.perf_counter()
+        loaded = GraphStore(root / "load").graph("bench")
+        load_s = time.perf_counter() - start
+        assert loaded.node_count() == node_count
 
-        # Indexed reachability vs BFS: cold open + closures, per engine.
         tree = _provenance_tree(REACH_TREE_NODES)
-        for engine in ("file", "sqlite"):
-            seeded = GraphStore(root / f"tree-{engine}", engine=engine)
-            seeded.put_graph(tree, name="tree")
-            seeded.checkpoint()
-            if engine == "sqlite":
-                seeded.storage.db.close()
+        seeded = GraphStore(root / "tree")
+        seeded.put_graph(tree, name="tree")
+        seeded.checkpoint()
+        seeded = None
         rng = random.Random(_SEED)
         probes = ["n0"] + [
             f"n{rng.randrange(REACH_TREE_NODES)}" for _ in range(REACH_PROBES - 1)
         ]
-        closures = {}
-        elapsed = {}
-        for engine in ("file", "sqlite"):
-            gc.collect()
-            start = time.perf_counter()
-            reach_store = GraphStore(root / f"tree-{engine}", engine=engine)
-            closures[engine] = [
+
+        def sql_closures():
+            store = GraphStore(root / "tree")
+            closures = [
                 (
-                    reach_store.lineage("tree", probe, direction="descendants"),
-                    reach_store.lineage("tree", probe, direction="ancestors"),
+                    store.lineage("tree", probe, direction="descendants"),
+                    store.lineage("tree", probe, direction="ancestors"),
                 )
                 for probe in probes
             ]
-            elapsed[engine] = time.perf_counter() - start
-            if engine == "sqlite":
-                # The SQL side answered from interval rows alone.
-                assert reach_store.storage.resident_names() == []
-        assert closures["sqlite"] == closures["file"]  # differential guard
-        assert closures["file"][0][0] == descendants(tree, "n0")  # vs raw BFS
-        assert closures["file"][0][1] == ancestors(tree, "n0")
-        sql_s, bfs_s = elapsed["sqlite"], elapsed["file"]
+            # The SQL side answered from interval rows alone.
+            assert store.storage.resident_names() == []
+            return closures
 
-        # Warm restart on the SQLite engine: the PR-6 case, new backend.
-        # Cold and warm are re-measured together (up to 3 rounds, keeping
-        # the best speedup) so one scheduler stall on a contended runner
-        # cannot sink the recorded ratio — same guard as cached_replay.
-        store = GraphStore(root / "restart", engine="sqlite")
-        store.put_graph(graph, name="bench")
-        stored = store.graph("bench")
-        request = ProtectionRequest(privileges=(consumer,))
-        service = ProtectionService(stored, policy, store=store)
-        result = service.protect(request)
-        service.checkpoint(result, name="bench")
+        def bfs_closures():
+            stored = GraphStore(root / "tree").storage.graph("tree")
+            return [(descendants(stored, probe), ancestors(stored, probe)) for probe in probes]
 
-        cold_s = warm_s = None
-        for _ in range(3):
-            round_cold = None
-            for _ in range(2):
-                cold_service = ProtectionService(stored, policy.copy(), store=store)
+        closures = {}
+        elapsed = {sql_closures: [], bfs_closures: []}
+        for _ in range(REACH_ROUNDS):
+            for side, times in elapsed.items():
                 gc.collect()
                 start = time.perf_counter()
-                cold_service.protect(ProtectionRequest(privileges=(consumer,)))
-                elapsed = time.perf_counter() - start
-                round_cold = elapsed if round_cold is None else min(round_cold, elapsed)
-
-            round_warm = None
-            report = warm_result = None
-            for _ in range(5):
-                store2 = GraphStore(root / "restart", engine="sqlite")
-                service2 = ProtectionService(
-                    store2.graph("bench"), policy.copy(), store=store2
-                )
-                # Drop the previous round's account/scores before the clock
-                # starts (same guard as measure_recovery): rebinding them
-                # mid-measurement would charge their deallocation cascade to
-                # this round's restore.
-                report = warm_result = None
-                gc.collect()
-                start = time.perf_counter()
-                report = service2.restore(name="bench")
-                warm_result = service2.protect(
-                    ProtectionRequest(privileges=(consumer,))
-                )
-                elapsed = time.perf_counter() - start
-                assert report.mode == "warm", report.reason
-                assert warm_result.timings_ms["cache_hit"] == 1.0
-                round_warm = elapsed if round_warm is None else min(round_warm, elapsed)
-
-            if cold_s is None or round_cold / round_warm > cold_s / warm_s:
-                cold_s, warm_s = round_cold, round_warm
-            if cold_s / warm_s >= 5.0:
-                break
+                closures[side] = side()
+                times.append(time.perf_counter() - start)
+        assert closures[sql_closures] == closures[bfs_closures]  # differential guard
+        assert closures[bfs_closures][0] == (descendants(tree, "n0"), ancestors(tree, "n0"))
+        sql_s = statistics.median(elapsed[sql_closures])
+        bfs_s = statistics.median(elapsed[bfs_closures])
 
     return {
-        "cold_load": cold_load,
+        "cold_load": {"nodes": node_count, "edges": edge_count, "open_and_load_s": round(load_s, 6)},
         "reachability": {
             "tree_nodes": REACH_TREE_NODES,
             "probes": len(probes),
-            "sqlite_cold_open_and_query_s": round(sql_s, 6),
-            "file_cold_open_and_bfs_s": round(bfs_s, 6),
+            "rounds": REACH_ROUNDS,
+            "sql_open_and_query_s": round(sql_s, 6),
+            "open_load_and_bfs_s": round(bfs_s, 6),
             "bfs_over_sql_ratio": round(bfs_s / sql_s, 2),
             "results_equal": True,
-        },
-        "warm_restart": {
-            "engine": "sqlite",
-            "nodes": node_count,
-            "edges": edge_count,
-            "cold_restart_s": round(cold_s, 6),
-            "warm_restart_s": round(warm_s, 6),
-            "speedup": round(cold_s / warm_s, 1),
-            "restore_mode": "warm",
         },
     }
 
@@ -701,7 +640,7 @@ def measure_replication():
     node_count, edge_count = REPLICATION_SIZE
     graph, policy, consumer = build_workload(node_count, edge_count)
     with tempfile.TemporaryDirectory() as tmp:
-        store = GraphStore(pathlib.Path(tmp) / "leader", engine="sqlite")
+        store = GraphStore(pathlib.Path(tmp) / "leader")
         anchor = ProtectionService(None, policy, store=store)
         publisher = ReplicationPublisher(anchor)
         publisher.publish("bench", graph)
@@ -868,23 +807,22 @@ def test_bench_recovery_warm_restart(bench_quick):
     assert _recovery["catchup_restore_s"] < _recovery["cold_restart_s"]
 
 
-def test_bench_store_engine(bench_quick):
-    """Store case: SQL closures equal BFS, SQLite warm restart holds ≥ 5×.
+def test_bench_store_reachability(bench_quick):
+    """Store case: SQL closures equal BFS and beat materialize-then-BFS.
 
     The measurement gates on exactness first (see :func:`measure_store`):
     every probed SQL interval closure must equal its BFS counterpart before
-    a ratio is recorded, and the warm restore must come back ``warm`` with
-    the first protect answered from the seeded cache.
+    a ratio is recorded.
     """
     _store.update(measure_store())
-    assert _store["reachability"]["results_equal"] is True
-    # Cold time-to-answer: skipping materialization beats parse-then-BFS.
-    assert _store["reachability"]["bfs_over_sql_ratio"] > 1.0
-    assert _store["warm_restart"]["restore_mode"] == "warm"
-    assert _store["warm_restart"]["speedup"] >= 5.0
-    # Cold opens on both engines land in the same order of magnitude: the
-    # paged SQLite load is not pathologically slower than one JSON parse.
-    assert _store["cold_load"]["sqlite_s"] < 20 * _store["cold_load"]["file_s"]
+    reach = _store["reachability"]
+    assert reach["results_equal"] is True
+    # Cold time-to-answer: skipping materialization beats load-then-BFS
+    # (medians of alternating rounds).
+    assert reach["bfs_over_sql_ratio"] > 1.0, (
+        f"SQL closures not faster: sql_s={reach['sql_open_and_query_s']} "
+        f"bfs_s={reach['open_load_and_bfs_s']}"
+    )
 
 
 def test_bench_replication_catchup_and_parity(bench_quick):
@@ -923,4 +861,3 @@ def test_bench_scaling_writes_trajectory(bench_quick):
     assert written["recovery"]["restore_mode"] == "warm"
     assert written["recovery"]["speedup"] >= 5.0
     assert written["store"]["reachability"]["results_equal"] is True
-    assert written["store"]["warm_restart"]["speedup"] >= 5.0

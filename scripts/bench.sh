@@ -10,9 +10,8 @@
 #                              # full recompile; refreshes BENCH_scaling.json)
 #   scripts/bench.sh recovery  # just the crash-recovery case (warm restore from a
 #                              # checkpoint vs cold recompute; refreshes BENCH_scaling.json)
-#   scripts/bench.sh store     # just the store-engine case (SQLite vs file: cold load,
-#                              # indexed reachability vs BFS, warm restart on the SQLite
-#                              # engine; refreshes BENCH_scaling.json)
+#   scripts/bench.sh store     # just the store case (cold load, indexed reachability vs
+#                              # materialize + BFS; refreshes BENCH_scaling.json)
 #   scripts/bench.sh replicate # just the leader/follower case (delta-log catch-up
 #                              # deltas/sec + read-path parity p50 vs the leader;
 #                              # refreshes BENCH_scaling.json)
@@ -55,11 +54,11 @@ case "${1:-all}" in
     python -m pytest benchmarks/test_bench_scaling.py -q -k recovery
     ;;
   store)
-    # Plain test mode: SQLite engine vs file engine on the 8k-node workload —
-    # cold store load, interval-scan reachability against BFS (exactness
-    # asserted before any ratio is recorded), and the ≥5× warm-restart gate
-    # on the SQLite engine; the module teardown rewrites the trajectory file
-    # including the store section.
+    # Plain test mode: the SQLite store on the 8k-node workload — cold store
+    # load, and interval-scan reachability against materialize + BFS in
+    # alternating rounds (exactness asserted before any ratio is recorded);
+    # the module teardown rewrites the trajectory file including the store
+    # section.  The ≥5× warm-restart gate runs under `recovery`.
     python -m pytest benchmarks/test_bench_scaling.py -q -k store
     ;;
   replicate)

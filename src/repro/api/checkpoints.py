@@ -28,7 +28,7 @@ the store's write log, never an in-memory delta record.  On
     restored and the caches seeded.
 **catch-up**
     The log holds a *complete* tail after the stamp
-    (:attr:`~repro.store.wal.WriteAheadLog.base_seq` proves no truncation
+    (:attr:`~repro.store.sqlite.wal.SQLiteWriteLog.base_seq` proves no truncation
     gap): the marking view is restored at checkpoint state and patched
     through the tail records — O(affected), the same primitives the
     delta-maintenance layer uses — while the account and scores (stale by
@@ -89,7 +89,7 @@ from repro.exceptions import CorruptionError, GraphError, ProtectionError, Store
 from repro.graph.deltas import record_maintenance
 from repro.graph.model import PropertyGraph, _edges_from_columns, _node
 from repro.graph.serialization import graph_from_json, graph_to_json
-from repro.store.wal import LogRecord
+from repro.store.sqlite.wal import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.service import ProtectionService

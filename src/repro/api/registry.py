@@ -140,12 +140,6 @@ class ServiceRegistry:
     cache_capacity:
         Default per-tenant LRU bound of the shared account cache
         (individual tenants may override it via ``max_cache_entries``).
-    store_engine:
-        Storage backend every tenant store is opened with (``"file"`` or
-        ``"sqlite"``; see :data:`repro.store.engine.STORE_ENGINES`).
-        ``None`` auto-detects per tenant root — an existing SQLite root
-        reopens as SQLite, anything else (including fresh and in-memory
-        roots) gets the file engine.
     read_only:
         Open every tenant store read-only (follower processes).  This is
         what relaxes the one-process-per-root assumption: any number of
@@ -159,11 +153,9 @@ class ServiceRegistry:
         base_dir: Optional[Union[str, Path]] = None,
         *,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        store_engine: Optional[str] = None,
         read_only: bool = False,
     ) -> None:
         self.base_dir = Path(base_dir) if base_dir is not None else None
-        self.store_engine = store_engine
         self.read_only = read_only
         self.cache = AccountCache(cache_capacity)
         self._lock = threading.RLock()
@@ -205,12 +197,7 @@ class ServiceRegistry:
             )
             record = _TenantRecord(
                 name=tenant,
-                store=GraphStore.for_tenant(
-                    self.base_dir,
-                    tenant,
-                    engine=self.store_engine,
-                    read_only=self.read_only,
-                ),
+                store=GraphStore.for_tenant(self.base_dir, tenant, read_only=self.read_only),
                 quota=quota,
             )
             if max_cache_entries is not None:

@@ -58,7 +58,7 @@ from repro.experiments.figure9 import run_figure9
 from repro.experiments.figure10 import run_figure10
 from repro.experiments.runner import run_all
 from repro.experiments.table1 import run_table1
-from repro.graph.serialization import graph_to_dict, load_graph, save_graph
+from repro.graph.serialization import load_graph, save_graph
 from repro.graph.statistics import summarize
 from repro.server.errors import error_envelope
 from repro.store.engine import GraphStore
@@ -122,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (per-tenant subdirectories with --tenant, one shared store otherwise)",
     )
     serve.add_argument(
-        "--store-engine",
-        default=None,
-        choices=("file", "sqlite"),
-        help="storage backend for the store root (default: auto-detect;"
-        " file for fresh roots)",
-    )
-    serve.add_argument(
         "--repeat", type=int, default=1, metavar="N", help="serve the batch N times (default 1)"
     )
     serve.add_argument(
@@ -152,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-root", default=None, help="root directory for per-tenant durable stores"
     )
     http_serve.add_argument(
-        "--store-engine",
-        default=None,
-        choices=("file", "sqlite"),
-        help="storage backend for tenant stores (default: auto-detect;"
-        " file for fresh roots)",
-    )
-    http_serve.add_argument(
         "--threads",
         type=int,
         default=4,
@@ -169,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicate",
         action="store_true",
         help="lead: stream published graphs' deltas into per-tenant delta logs"
-        " (needs --store-root; sqlite engine)",
+        " (needs --store-root)",
     )
     http_serve.add_argument(
         "--replica-of",
@@ -358,15 +344,14 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         _print_error(str(exc), kind=type(exc).__name__, as_json=as_json, exc=exc)
         return 1
 
-    engine = getattr(args, "store_engine", None)
     if args.tenant is not None:
-        registry = ServiceRegistry(args.store_root, store_engine=engine)
+        registry = ServiceRegistry(args.store_root)
         registry.register(args.tenant)
         service = registry.service(args.tenant, None, policy)
     else:
         # An explicit --store-root without --tenant still deserves a store:
         # requests with persist_as would otherwise fail despite the flag.
-        store = GraphStore(args.store_root, engine=engine) if args.store_root is not None else None
+        store = GraphStore(args.store_root) if args.store_root is not None else None
         service = ProtectionService(None, policy, store=store)
 
     try:
@@ -476,7 +461,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=getattr(args, "threads", 4),
         store_root=args.store_root,
-        store_engine=getattr(args, "store_engine", None),
         replicate=getattr(args, "replicate", False),
         replica_of=getattr(args, "replica_of", None),
         staleness_budget=getattr(args, "staleness_budget", 2.0),

@@ -255,10 +255,20 @@ class PropertyGraph:
         Bound methods are held weakly (the owning object — typically a
         :class:`~repro.graph.deltas.DeltaBus` — can be garbage-collected
         without unsubscribing first); plain functions are held strongly.
+        Entries whose owner is gone are dropped here as well as on the next
+        mutation, so a graph that many short-lived owners attach to without
+        being mutated keeps only its live listeners.
         Returns a token for :meth:`unsubscribe`.
         """
         if self._observers is None:
             self._observers = {}
+        else:
+            for dead in [
+                token
+                for token, stored in self._observers.items()
+                if isinstance(stored, weakref.WeakMethod) and stored() is None
+            ]:
+                del self._observers[dead]
         token = self._next_token
         self._next_token += 1
         try:

@@ -4,7 +4,8 @@ The package pairs with the storage seam in :mod:`repro.store.io`:
 
 * :class:`~repro.reliability.faults.FaultInjector` drives deterministic
   torn writes, transient errors and simulated crashes through every
-  fsync/rename boundary of the store (the crash-recovery suite's engine).
+  transaction and rename boundary of the store (the crash-recovery suite's
+  engine).
 * :class:`~repro.reliability.retry.RetryPolicy` gives the service stack
   bounded, backoff-spaced retries around transient store faults.
 

@@ -5,7 +5,8 @@
 :meth:`~repro.store.io.StorageIO.write_step` hooks actually fire: at a
 chosen injection point it raises a transient ``OSError``-shaped failure,
 simulates a process crash, or tears a write in half and *then* crashes.
-Because every byte the store persists flows through the seam, a test can
+Because every commit the store makes announces itself through the seam (each
+SQLite transaction and each atomic file replace), a test can
 
 1. run a workload once under a recording injector (no plan) to enumerate
    every injection point the workload crosses, then

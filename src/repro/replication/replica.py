@@ -134,7 +134,7 @@ class ReplicaService:
         self.root = Path(root)
         self.poll_interval = poll_interval
         self._io = io
-        self.store = GraphStore(self.root, engine="sqlite", read_only=True, io=io)
+        self.store = GraphStore(self.root, read_only=True, io=io)
         self.log = DeltaLog(self.root, read_only=True, io=io)
         self._graphs: Dict[str, PropertyGraph] = {}
         self._applied: Dict[str, int] = {}
@@ -201,7 +201,7 @@ class ReplicaService:
 
     def _reopen_store(self) -> None:
         old = self.store
-        self.store = GraphStore(self.root, engine="sqlite", read_only=True, io=self._io)
+        self.store = GraphStore(self.root, read_only=True, io=self._io)
         try:
             old.storage.close()
         except Exception:  # pragma: no cover - best-effort close

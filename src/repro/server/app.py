@@ -42,7 +42,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.api.registry import ServiceRegistry
 from repro.api.service import ProtectionService
@@ -70,7 +70,6 @@ from repro.server.encoding import (
 from repro.server.errors import (
     BadRequestError,
     NotFoundError,
-    ShuttingDownError,
     error_envelope,
     retry_after_for,
     status_for,
@@ -102,13 +101,10 @@ class ServerConfig:
     max_sessions_per_tenant: int = 16
     #: Root directory for per-tenant durable stores (None = in-memory).
     store_root: Optional[str] = None
-    #: Storage backend for tenant stores (``"file"`` or ``"sqlite"``;
-    #: ``None`` auto-detects per tenant root).
-    store_engine: Optional[str] = None
     #: Seconds :meth:`ProtectionServer.shutdown` waits for in-flight work.
     drain_timeout: float = 10.0
     #: Lead: stream every published graph's deltas into per-tenant delta
-    #: logs (needs a durable ``store_root`` on the sqlite engine).
+    #: logs (needs a durable ``store_root``).
     replicate: bool = False
     #: Follow: serve reads from the leader's store root (opened read-only),
     #: tailing its delta logs.  The value is the leader's base URL, quoted
@@ -145,19 +141,11 @@ class ProtectionServer:
         if (self.config.replicate or self.config.replica_of) and registry is None:
             if self.config.store_root is None:
                 raise ValueError("replication needs a durable --store-root")
-            if self.config.store_engine not in (None, "sqlite"):
-                raise ValueError("replication needs the sqlite store engine")
         self.registry = (
             registry
             if registry is not None
             else ServiceRegistry(
-                self.config.store_root,
-                store_engine=(
-                    "sqlite"
-                    if (self.config.replicate or self.config.replica_of)
-                    else self.config.store_engine
-                ),
-                read_only=bool(self.config.replica_of),
+                self.config.store_root, read_only=bool(self.config.replica_of)
             )
         )
         self.replication: Optional[Any] = None

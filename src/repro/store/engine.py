@@ -4,20 +4,20 @@ The store engine is what the PLUS substrate and the Figure-10 benchmark talk
 to: named graphs with logged mutations, a lazily built feature index, simple
 transactions and a :class:`PhaseTimer` that records how long each phase of
 an operation takes (the paper's "DB Access" / "Build Graph" / "Protect via
-Hide" / "Protect via Surrogate" bars).
+Hide" / "Protect via Surrogate" bars).  Every store runs on SQLite
+(:mod:`repro.store.sqlite`): one database per durable root, or a
+``:memory:`` database when no directory is given.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Union
 
-from repro.codec import table_len
 from repro.exceptions import (
     DuplicateEdgeError,
     DuplicateNodeError,
@@ -27,29 +27,20 @@ from repro.exceptions import (
     StoreError,
 )
 
-#: Storage engines selectable via ``GraphStore(engine=...)``.
-STORE_ENGINES = ("file", "sqlite")
-
-
-def detect_engine(directory: Optional[Union[str, Path]]) -> str:
-    """Which engine owns ``directory`` — ``"sqlite"`` iff its database exists.
-
-    Reopening a durable root must not need the ``engine=`` flag again: the
-    SQLite engine leaves exactly one ``store.sqlite`` file at the root, so
-    its presence identifies the engine.  Fresh (or in-memory) roots default
-    to ``"file"``.
-    """
-    if directory is None:
-        return "file"
-    from repro.store.sqlite import DATABASE_NAME
-
-    return "sqlite" if (Path(directory) / DATABASE_NAME).exists() else "file"
 from repro.graph.model import NodeId, PropertyGraph
-from repro.graph.traversal import ancestors, descendants
 from repro.store.index import FeatureIndex
 from repro.store.io import StorageIO
-from repro.store.storage import GraphStorage
+from repro.store.sqlite import SQLiteGraphStorage
 from repro.store.transactions import Transaction, apply_to, validate_operations
+
+
+def detect_engine(directory: Optional[Union[str, Path]] = None) -> str:
+    """The storage engine behind every store root: always ``"sqlite"``.
+
+    Run records name the engine they measured; a root written by the
+    retired JSON file engine is imported on its first open.
+    """
+    return "sqlite"
 
 
 def _tenant_dirname(tenant: str) -> str:
@@ -150,49 +141,33 @@ class GraphStore:
         tenant: Optional[str] = None,
         io: Optional[StorageIO] = None,
         retry: Optional[object] = None,
-        engine: Optional[str] = None,
         page_cache_pages: Optional[int] = None,
         page_rows: Optional[int] = None,
         read_only: bool = False,
     ) -> None:
-        if engine is None:
-            engine = detect_engine(directory)
-        if engine not in STORE_ENGINES:
-            raise StoreError(
-                f"unknown store engine {engine!r}; choose one of {', '.join(STORE_ENGINES)}"
-            )
-        #: Which storage backend this store runs on (``"file"`` or ``"sqlite"``).
-        self.engine = engine
         #: True when this process may only read the root (follower opens).
         self.read_only = read_only
-        if engine == "sqlite":
-            from repro.store.sqlite import SQLiteGraphStorage
-
-            self.storage: GraphStorage = SQLiteGraphStorage(  # type: ignore[assignment]
+        #: Optional retry policy (anything with ``call(fn)``, e.g.
+        #: :class:`~repro.reliability.retry.RetryPolicy`) applied around
+        #: durable writes — the open (schema creation, legacy import),
+        #: write-log appends, snapshots, checkpoints — so a transient fault
+        #: surfaces as one retried operation instead of a failed request.
+        #: ``None`` runs every write exactly once.
+        self.retry = retry
+        self.storage: SQLiteGraphStorage = self._durable(
+            lambda: SQLiteGraphStorage(
                 directory,
                 io=io,
                 page_cache_pages=page_cache_pages,
                 page_rows=page_rows,
                 read_only=read_only,
             )
-        else:
-            if read_only:
-                raise StoreError(
-                    "read-only opens require the sqlite engine (the file engine "
-                    "rewrites its root on open)"
-                )
-            self.storage = GraphStorage(directory, io=io)
+        )
         self.timer = PhaseTimer()
         self.stats = StoreStats()
         #: Owning tenant; stamped on every catalog descriptor this engine
         #: creates so multi-tenant registries can audit who owns what.
         self.tenant = tenant
-        #: Optional retry policy (anything with ``call(fn)``, e.g.
-        #: :class:`~repro.reliability.retry.RetryPolicy`) applied around
-        #: durable writes — write-log appends, snapshots, checkpoints — so a
-        #: transient ``OSError`` surfaces as one retried operation instead of
-        #: a failed request.  ``None`` runs every write exactly once.
-        self.retry = retry
         # Feature indexes build on a graph's first ``find_nodes`` and are
         # maintained by the mutators from then on; opening a store builds
         # none.  Adjacency queries read the stored graph's own index.
@@ -213,30 +188,21 @@ class GraphStore:
         cls,
         base_directory: Optional[Union[str, Path]],
         tenant: str,
-        *,
-        engine: Optional[str] = None,
-        **engine_options: Any,
+        **options: Any,
     ) -> "GraphStore":
         """A tenant-scoped store rooted under ``base_directory/<tenant>``.
 
-        Each tenant gets its own snapshot directory, write log and catalog,
-        so tenants can never read (or clobber) each other's graphs.  A
-        ``None`` base directory gives the tenant an isolated in-memory
-        store.  A ``None`` engine auto-detects from the tenant's root (so
-        reopening never needs the flag again).  This is what the
-        :class:`~repro.api.registry.ServiceRegistry` hands to each tenant's
-        services.
+        Each tenant gets its own database, write log and catalog, so tenants
+        can never read (or clobber) each other's graphs.  A ``None`` base
+        directory gives the tenant an isolated in-memory store.  This is
+        what the :class:`~repro.api.registry.ServiceRegistry` hands to each
+        tenant's services.
         """
         if not tenant:
             raise StoreError("a tenant-scoped store needs a non-empty tenant name")
         if base_directory is None:
-            return cls(tenant=tenant, engine=engine, **engine_options)
-        return cls(
-            Path(base_directory) / _tenant_dirname(tenant),
-            tenant=tenant,
-            engine=engine,
-            **engine_options,
-        )
+            return cls(tenant=tenant, **options)
+        return cls(Path(base_directory) / _tenant_dirname(tenant), tenant=tenant, **options)
 
     # ------------------------------------------------------------------ #
     # graph lifecycle
@@ -304,7 +270,6 @@ class GraphStore:
         """
         report = self.storage.recovery_report
         return {
-            "engine": self.engine,
             "durable": self.storage.durable,
             "directory": str(self.storage.directory) if self.storage.durable else None,
             "graphs": len(self.storage.names()),
@@ -506,82 +471,31 @@ class GraphStore:
     ) -> Set[NodeId]:
         """Full ancestor or descendant closure of one node in a stored graph.
 
-        On the SQLite engine this runs as an interval range scan against the
-        persisted encoding (no Python traversal, and — for a graph that was
-        never materialized — no graph object in memory at all).  The file
-        engine walks the in-memory graph with BFS.  The differential suite
-        in ``tests/property/test_store_reachability.py`` pins the two paths
-        exactly equal.
+        Runs as an interval range scan against the persisted encoding (no
+        Python traversal, and — for a graph that was never materialized —
+        no graph object in memory at all).  The differential suite in
+        ``tests/property/test_store_reachability.py`` pins it exactly equal
+        to a BFS over the graph.
         """
         if direction not in {"ancestors", "descendants"}:
             raise ValueError(f"direction must be 'ancestors' or 'descendants', got {direction!r}")
         self.stats.queries_answered += 1
-        sql_lineage = getattr(self.storage, "sql_lineage", None)
-        if sql_lineage is not None:
-            with self.timer.phase("query"):
-                return sql_lineage(graph_name, node_id, direction=direction)
-        graph = self.storage.graph(graph_name)
         with self.timer.phase("query"):
-            if direction == "ancestors":
-                return ancestors(graph, node_id)
-            return descendants(graph, node_id)
+            return self.storage.sql_lineage(graph_name, node_id, direction=direction)
 
     def search_nodes(self, graph_name: str, query: str) -> Set[NodeId]:
         """Text search over node kinds and features.
 
-        The SQLite engine serves this from its FTS index (full ``MATCH``
-        syntax when FTS5 is compiled in, substring fallback otherwise); the
-        file engine scans the in-memory graph with the same substring
-        semantics.  Single-term queries behave identically on both.
+        Served from the FTS index: full ``MATCH`` syntax when FTS5 is
+        compiled in, a case-insensitive substring scan otherwise.
         """
         self.stats.queries_answered += 1
-        search = getattr(self.storage, "search_nodes", None)
-        if search is not None:
-            with self.timer.phase("query"):
-                return search(graph_name, query)
-        graph = self.storage.graph(graph_name)
-        needle = query.lower()
         with self.timer.phase("query"):
-            found: Set[NodeId] = set()
-            for node in graph.nodes():
-                parts = [str(node.kind or "")]
-                for key, value in node.features.items():
-                    parts.extend((str(key), str(value)))
-                if needle in " ".join(parts).lower():
-                    found.add(node.node_id)
-            return found
+            return self.storage.search_nodes(graph_name, query)
 
     def list_accounts(self, *, tenant: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Summaries of every protected account held by this store.
-
-        The SQLite engine reads its materialized ``account_listing`` table;
-        the file engine assembles the same rows from catalog descriptors.
-        """
-        lister = getattr(self.storage, "list_accounts", None)
-        if lister is not None:
-            return lister(tenant=tenant)
-        listing: List[Dict[str, Any]] = []
-        for descriptor in self.storage.catalog.find(kind="protected_account", tenant=tenant):
-            raw = descriptor.metadata.get("protected_account")
-            try:
-                payload = json.loads(raw) if isinstance(raw, str) else dict(raw or {})
-            except (json.JSONDecodeError, TypeError):
-                payload = {}
-            listing.append(
-                {
-                    "name": descriptor.name,
-                    "graph": str(payload.get("graph_name", "")),
-                    "tenant": descriptor.metadata.get("tenant"),
-                    "privilege": payload.get("privilege"),
-                    "strategy": payload.get("strategy"),
-                    "nodes": descriptor.node_count,
-                    "edges": descriptor.edge_count,
-                    "surrogate_nodes": table_len(payload.get("surrogate_nodes", [])),
-                    "surrogate_edges": table_len(payload.get("surrogate_edges", [])),
-                }
-            )
-        listing.sort(key=lambda entry: entry["name"])
-        return listing
+        """Summaries of every protected account held by this store."""
+        return self.storage.list_accounts(tenant=tenant)
 
     # ------------------------------------------------------------------ #
     # internals

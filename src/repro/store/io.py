@@ -1,19 +1,21 @@
-"""The storage I/O seam: every byte the store persists flows through here.
+"""The storage I/O seam: every file the store writes outside its database.
 
-:class:`StorageIO` is the single place the store touches the filesystem —
-appends, atomic renames, fsyncs, reads, unlinks.  Centralising the surface
-buys two things:
+The SQLite database commits through its own journal; everything else the
+store persists — service checkpoints, account files, quarantine renames —
+goes through :class:`StorageIO`: atomic writes, renames, fsyncs, reads and
+unlinks.  Centralising the surface buys two things:
 
 * **Defined commit points.**  Each primitive spells out its durability
-  protocol (append = write + flush + fsync, atomic write = temp file +
-  fsync + ``os.replace`` + directory fsync), so the failure model in
-  ``docs/reliability.md`` describes real code paths, not intent.
+  protocol (atomic write = temp file + fsync + ``os.replace`` + directory
+  fsync), so the failure model in ``docs/reliability.md`` describes real
+  code paths, not intent.
 * **Fault injection.**  Every sub-step announces itself through
-  :meth:`StorageIO.checkpoint` with a named *injection point*.  The default
-  implementation ignores these calls; the test-only
+  :meth:`StorageIO.checkpoint` with a named *injection point*, and so does
+  every SQLite transaction (:meth:`repro.store.sqlite.Database.transaction`).
+  The default implementation ignores these calls; the test-only
   :class:`~repro.reliability.faults.FaultInjector` subclass turns them into
   deterministic torn writes, transient ``OSError``\\ s and simulated crashes,
-  which is how the crash-recovery suite visits every fsync/rename boundary.
+  which is how the crash-recovery suite visits every commit boundary.
 
 Operating-system failures (``OSError`` from any primitive) surface as
 :class:`~repro.exceptions.TransientError` so callers retry through one typed
@@ -55,40 +57,6 @@ class StorageIO:
     # ------------------------------------------------------------------ #
     # primitives
     # ------------------------------------------------------------------ #
-    def append_bytes(self, path: PathLike, data: bytes, *, sync: bool = True) -> None:
-        """Durably append ``data`` to ``path`` (write, flush, fsync).
-
-        Self-healing on failure: the pre-append file size is recorded and a
-        failed write/fsync attempts to truncate back to it, so a *retried*
-        append never lands after a torn half-record (which would turn a
-        recoverable torn tail into mid-log corruption).  If the truncate
-        itself is lost to a crash, write-log recovery still truncates the
-        torn tail on reopen.
-        """
-        path = Path(path)
-        self.checkpoint("append.before")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("ab") as handle:
-                base = handle.tell()
-                try:
-                    self.write_step("append.write", handle, data)
-                    handle.flush()
-                    if sync:
-                        self.checkpoint("append.fsync")
-                        os.fsync(handle.fileno())
-                except OSError:
-                    try:  # roll the file back so a retry starts clean
-                        handle.truncate(base)
-                    except OSError:  # pragma: no cover - double-fault path
-                        pass
-                    raise
-        except OSError as exc:
-            raise TransientError(
-                f"append to {path} failed: {exc}", point="append"
-            ) from exc
-        self.checkpoint("append.after")
-
     def atomic_write_text(self, path: PathLike, text: str) -> None:
         """Atomically replace ``path`` with ``text`` (temp + fsync + rename).
 
@@ -167,17 +135,6 @@ class StorageIO:
                 f"rename {source} -> {destination} failed: {exc}", point="replace"
             ) from exc
 
-    def truncate_file(self, path: PathLike, size: int) -> None:
-        """Truncate ``path`` to ``size`` bytes and fsync (torn-tail removal)."""
-        self.checkpoint("truncate")
-        try:
-            with Path(path).open("r+b") as handle:
-                handle.truncate(size)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise TransientError(f"truncate of {path} failed: {exc}", point="truncate") from exc
-
 
 #: Shared default adapter; stateless, so one instance serves every store.
 DEFAULT_IO = StorageIO()
@@ -186,3 +143,18 @@ DEFAULT_IO = StorageIO()
 def resolve_io(io: Optional[StorageIO]) -> StorageIO:
     """The caller's adapter, or the shared production default."""
     return io if io is not None else DEFAULT_IO
+
+
+#: Suffix a damaged file is renamed aside with (never deleted).
+QUARANTINE_SUFFIX = ".corrupt"
+
+
+def quarantine(io: StorageIO, path: Path) -> Path:
+    """Rename a damaged file to a free ``<name>.corrupt[.N]``; returns it."""
+    target = path.with_name(path.name + QUARANTINE_SUFFIX)
+    suffix = 0
+    while target.exists():
+        suffix += 1
+        target = path.with_name(f"{path.name}{QUARANTINE_SUFFIX}.{suffix}")
+    io.replace(path, target)
+    return target

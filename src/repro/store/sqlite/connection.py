@@ -7,19 +7,23 @@ One :class:`Database` wraps one ``sqlite3`` connection with:
   sync for a single-writer store, concurrent readers never block the writer;
 * explicit transactions with **named injection points** threaded through the
   :class:`~repro.store.io.StorageIO` seam, so the fault-injection harness
-  can crash the process on either side of every commit exactly as it does
-  for the file engine;
+  can crash the process on either side of every commit;
 * typed error mapping — ``sqlite3.OperationalError`` (locks, I/O) surfaces
   as :class:`~repro.exceptions.TransientError` so retry policies apply, and
   other ``sqlite3.DatabaseError``\\ s (a corrupt or non-database file)
   surface as :class:`~repro.exceptions.CorruptionError` so the storage
-  layer can quarantine the file.
+  layer can quarantine the file;
+* a close when the :class:`Database` is freed.  A ``sqlite3.Connection``
+  sits in a reference cycle with its own statement cache, so one that
+  nobody closes lives until a full collection, keeping the root's
+  ``-wal``/``-shm`` files in place until then.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import threading
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -68,6 +72,7 @@ class Database:
                     isolation_level=None,  # explicit BEGIN/COMMIT below
                     check_same_thread=False,
                 )
+            self._close = weakref.finalize(self, self.conn.close)
             self._apply_pragmas(page_cache_pages)
         except sqlite3.DatabaseError as exc:
             raise CorruptionError(f"cannot open SQLite database {target}: {exc}") from exc
@@ -182,6 +187,6 @@ class Database:
     def close(self) -> None:
         with self._lock:
             try:
-                self.conn.close()
+                self._close()
             except sqlite3.Error:  # pragma: no cover - best-effort close
                 pass

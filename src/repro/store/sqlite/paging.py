@@ -44,13 +44,33 @@ class PagingStats:
 
 
 def decode_id(text: str) -> Any:
-    """Node-id column → original id (JSON round-trip, matching the file engine)."""
+    """Node-id column → original id (JSON round-trip)."""
     return json.loads(text)
 
 
 def encode_id(node_id: Any) -> str:
     """Original node id → stable TEXT key."""
     return json.dumps(node_id, sort_keys=True, default=str)
+
+
+class IdTexts(dict):
+    """Node id → TEXT key, encoding each distinct id once (one per write)."""
+
+    def __missing__(self, node_id: Any) -> str:
+        text = self[node_id] = encode_id(node_id)
+        return text
+
+
+class _DecodedIds(dict):
+    """TEXT key → node id, decoding each distinct key once (one per load)."""
+
+    def __missing__(self, text: str) -> Any:
+        node_id = self[text] = decode_id(text)
+        return node_id
+
+
+def _features(text: str) -> Dict[str, Any]:
+    return {} if text == "{}" else json.loads(text)
 
 
 def _paged_rows(db: Database, sql: str, name: str, page_rows: int, stats: PagingStats) -> Iterator[tuple]:
@@ -77,7 +97,9 @@ def load_graph_paged(
 
     :meth:`PropertyGraph.from_rows` pulls rows as it builds, so the edge
     query starts only once every node row is in, and at most one page of
-    row tuples is resident at any instant.
+    row tuples is resident at any instant.  Edge endpoints repeat node ids,
+    so each distinct id text is decoded once per load, and the common
+    empty features text skips the JSON parser.
     """
     nodes = _paged_rows(
         db, "SELECT id, kind, features FROM nodes WHERE graph = ? ORDER BY position", name, page_rows, stats
@@ -89,10 +111,11 @@ def load_graph_paged(
         page_rows,
         stats,
     )
+    ids = _DecodedIds()
     return PropertyGraph.from_rows(
-        ((decode_id(node_id), kind, json.loads(features)) for node_id, kind, features in nodes),
+        ((ids[node_id], kind, _features(features)) for node_id, kind, features in nodes),
         (
-            (decode_id(source), decode_id(target), label, json.loads(features))
+            (ids[source], ids[target], label, _features(features))
             for source, target, label, features in edges
         ),
         name=name,

@@ -1,11 +1,10 @@
 """Schema DDL for the SQLite store engine.
 
-One database per tenant root.  The relational layout mirrors the file
-engine's snapshot+log model: ``nodes``/``edges`` rows are the *snapshot*
-(rewritten wholesale per graph at put/checkpoint time), ``wal_log`` rows
-are the logical write log (one row per framed record, committed through
-SQLite's own WAL — this is what retires the hand-rolled ``W1`` framing),
-and ``meta`` carries the sequence counters a truncation marker used to.
+One database per tenant root.  ``nodes``/``edges`` rows are the
+*snapshot* (rewritten wholesale per graph at put/checkpoint time),
+``wal_log`` rows are the logical write log (one row per record, each
+committed through SQLite's own WAL), and ``meta`` carries the write log's
+sequence counter across truncations.
 
 Derived tables ride along with each snapshot write:
 

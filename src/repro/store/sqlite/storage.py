@@ -1,25 +1,20 @@
-"""`SQLiteGraphStorage`: the drop-in SQLite storage engine.
+"""`SQLiteGraphStorage`: named-graph persistence over one SQLite database.
 
-Presents the exact surface of :class:`~repro.store.storage.GraphStorage`
-(the JSON file engine) over one SQLite database per store root, so the
-:class:`~repro.store.engine.GraphStore` facade, the service-checkpoint
-protocol (:mod:`repro.api.checkpoints`) and account persistence all work
-unchanged when a store is opened with ``engine="sqlite"``.
-
-The storage model is the same snapshot+log pair the file engine keeps,
-relocated into tables:
+Every store root holds one database (``store.sqlite``, WAL mode); an
+in-memory store runs the same code over a ``:memory:`` database.  The
+storage model is a snapshot plus a logical write log, kept in tables:
 
 * ``nodes``/``edges`` rows are the snapshot, rewritten wholesale per graph
   at put/checkpoint time inside one transaction;
 * ``wal_log`` rows are the logical write log
   (:class:`~repro.store.sqlite.wal.SQLiteWriteLog`), each append one
-  committed transaction — SQLite's WAL journal supplies the atomicity the
-  hand-rolled ``W1`` framing used to;
-* :meth:`SQLiteGraphStorage.checkpoint` keeps the snapshot-then-truncate
-  ordering, with a named injection point in the gap, so the crash-anywhere
-  convergence argument carries over verbatim.
+  committed transaction;
+* :meth:`SQLiteGraphStorage.checkpoint` writes snapshot rows first and
+  truncates the log second, with a named injection point in the gap: a
+  crash there replays the full log over fresh rows on reopen, which
+  converges because replay is idempotent.
 
-What the relational engine adds on top of parity:
+On top of that:
 
 * **lazy, paged loads** — opening a store reads the catalog and replays
   the write log only for the graphs it touches; everything else loads on
@@ -32,15 +27,17 @@ What the relational engine adds on top of parity:
 * **FTS node search** and **materialized account listing** tables
   refreshed with the catalog.
 
-Corruption handling mirrors the file engine's quarantine discipline: a
-database file that fails to open is renamed aside (``.corrupt``), recorded
-in the :class:`~repro.store.storage.RecoveryReport`, and a fresh store
-continues — one damaged file never takes the tenant down.
+A database file that fails to open is renamed aside (``.corrupt``),
+recorded in the :class:`RecoveryReport`, and a fresh store continues — one
+damaged file never takes the tenant down.  A root written by the retired
+JSON file engine is imported on its first open
+(:mod:`repro.store.sqlite.legacy`), in one transaction.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
@@ -58,19 +55,18 @@ from repro.graph.model import PropertyGraph
 from repro.graph.traversal import ancestors, descendants
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.store.catalog import Catalog
-from repro.store.io import TMP_SUFFIX, StorageIO, resolve_io
-from repro.store.sqlite import reachability
+from repro.store.io import TMP_SUFFIX, StorageIO, quarantine, resolve_io
+from repro.store.sqlite import legacy, reachability
 from repro.store.sqlite.connection import Database
 from repro.store.sqlite.paging import (
     DEFAULT_PAGE_ROWS,
+    IdTexts,
     PagingStats,
     encode_id,
     load_graph_paged,
 )
 from repro.store.sqlite.schema import ensure_schema
-from repro.store.sqlite.wal import SQLiteWriteLog
-from repro.store.storage import RecoveryReport, replay_operation
-from repro.store.wal import LogRecord
+from repro.store.sqlite.wal import LogRecord, SQLiteWriteLog, write_base_seq
 
 #: Database file name inside a store root.
 DATABASE_NAME = "store.sqlite"
@@ -80,9 +76,72 @@ DATABASE_NAME = "store.sqlite"
 #: literal is duplicated to keep the store layer below the api layer).
 ACCOUNT_KIND = "protected_account"
 
-_QUARANTINE_SUFFIX = ".corrupt"
-_LEGACY_SNAPSHOT_SUFFIX = ".graph.json"
-_LEGACY_WAL_NAME = "wal.jsonl"
+
+def replay_operation(graph: PropertyGraph, op: str, payload: Dict[str, Any]) -> None:
+    """Apply one primitive write-log operation to ``graph`` idempotently.
+
+    The existence guards make replay idempotent, which is what lets a
+    checkpoint crash between snapshot and log truncation converge on
+    reopen.
+    """
+    if op == "add_node":
+        if not graph.has_node(payload["id"]):
+            graph.add_node(payload["id"], kind=payload.get("kind"), features=payload.get("features") or {})
+    elif op == "remove_node":
+        if graph.has_node(payload["id"]):
+            graph.remove_node(payload["id"])
+    elif op == "add_edge":
+        if not graph.has_edge(payload["source"], payload["target"]):
+            graph.add_edge(
+                payload["source"],
+                payload["target"],
+                label=payload.get("label"),
+                features=payload.get("features") or {},
+                create_nodes=True,
+            )
+    elif op == "remove_edge":
+        if graph.has_edge(payload["source"], payload["target"]):
+            graph.remove_edge(payload["source"], payload["target"])
+    elif op == "set_node_features":
+        if graph.has_node(payload["id"]):
+            graph.set_node_features(payload["id"], payload.get("features") or {})
+    else:  # pragma: no cover - KNOWN_OPS guards this
+        raise StoreError(f"cannot replay unknown operation {op!r}")
+
+
+@dataclass
+class RecoveryReport:
+    """What one store open had to repair (health surface)."""
+
+    snapshots_loaded: int = 0
+    records_replayed: int = 0
+    #: Files renamed aside because they did not decode: a damaged database,
+    #: or a legacy snapshot or catalog that is not UTF-8, not JSON, or
+    #: (snapshots) not a valid graph.
+    quarantined: List[str] = field(default_factory=list)
+    #: Orphaned atomic-write temp files removed (crash between stage and rename).
+    tmp_files_removed: int = 0
+    #: Torn bytes at the end of an imported legacy write log (left on disk,
+    #: not replayed).
+    wal_torn_bytes: int = 0
+    #: Graphs imported from a legacy JSON file root.
+    migrated_graphs: int = 0
+
+    @property
+    def clean(self) -> bool:
+        """True when recovery found nothing to repair."""
+        return not self.quarantined and self.tmp_files_removed == 0 and self.wal_torn_bytes == 0
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "clean": self.clean,
+            "snapshots_loaded": self.snapshots_loaded,
+            "records_replayed": self.records_replayed,
+            "quarantined": list(self.quarantined),
+            "tmp_files_removed": self.tmp_files_removed,
+            "wal_torn_bytes": self.wal_torn_bytes,
+            "migrated_graphs": self.migrated_graphs,
+        }
 
 
 class SQLiteGraphStorage:
@@ -112,7 +171,7 @@ class SQLiteGraphStorage:
         self._lineage_seen: Dict[str, int] = {}
         self._snapshotted: Set[str] = set()
         if read_only:
-            # Follower-style open: never create, migrate, clean up or write —
+            # Follower-style open: never create, import, clean up or write —
             # another process owns this root.  WAL records are replayed into
             # memory only, so reads reflect the leader's full durable state.
             if self.directory is None:
@@ -124,21 +183,18 @@ class SQLiteGraphStorage:
                 path, io=self.io, page_cache_pages=page_cache_pages, read_only=True
             )
             self.db.integrity_probe()
-            self.wal = SQLiteWriteLog(self.db, io=self.io)
-            self._recover()
         elif self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._remove_orphan_tmp_files()
             self.db = self._open_database(page_cache_pages)
-            migrate = self._needs_legacy_migration()
-            self.wal = SQLiteWriteLog(self.db, io=self.io)
-            if migrate:
-                self._migrate_legacy_files()
-            self._recover()
+            if self._needs_legacy_import():
+                self._import_legacy_root()
         else:
             self.db = Database(":memory:", io=self.io, page_cache_pages=page_cache_pages)
             ensure_schema(self.db)
-            self.wal = SQLiteWriteLog(self.db, io=self.io)
+        self.wal = SQLiteWriteLog(self.db, io=self.io)
+        if self.directory is not None:
+            self._recover()
 
     # ------------------------------------------------------------------ #
     # opening / recovery
@@ -162,16 +218,11 @@ class SQLiteGraphStorage:
 
     def _quarantine_database(self, path: Path) -> None:
         """Rename a damaged database (and its journal files) aside."""
-        target = path.with_name(path.name + _QUARANTINE_SUFFIX)
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = path.with_name(f"{path.name}{_QUARANTINE_SUFFIX}.{suffix}")
-        self.io.replace(path, target)
-        for journal in (f"{path.name}-wal", f"{path.name}-shm"):
-            sidecar = path.with_name(journal)
+        target = quarantine(self.io, path)
+        for journal in ("-wal", "-shm"):
+            sidecar = path.with_name(path.name + journal)
             if sidecar.exists():
-                self.io.replace(sidecar, target.with_name(target.name + Path(journal).suffix))
+                self.io.replace(sidecar, target.with_name(target.name + journal))
 
     def _remove_orphan_tmp_files(self) -> None:
         """Delete staging files a crash left behind (never committed state)."""
@@ -180,57 +231,59 @@ class SQLiteGraphStorage:
             self.io.unlink(orphan)
             self.recovery_report.tmp_files_removed += 1
 
-    def _needs_legacy_migration(self) -> bool:
-        """True when the root holds file-engine artifacts and a fresh DB."""
-        if self.directory is None:
-            return False
-        legacy = (self.directory / _LEGACY_WAL_NAME).exists() or any(
-            self.directory.glob(f"*{_LEGACY_SNAPSHOT_SUFFIX}")
-        )
-        if not legacy:
-            return False
-        (graph_rows,) = self.db.execute("SELECT count(*) FROM graphs").fetchone()
-        (log_rows,) = self.db.execute("SELECT count(*) FROM wal_log").fetchone()
-        return graph_rows == 0 and log_rows == 0
-
-    def _migrate_legacy_files(self) -> None:
-        """Import a JSON file store found in this root (compatibility reader).
-
-        The legacy reader (the file engine itself) replays ``W1``-framed
-        write-log records over the JSON snapshots; the recovered graphs are
-        then written as snapshot rows and the sequence counter carries over
-        so existing service-checkpoint stamps stay comparable.  Legacy
-        files are left in place — migration never destroys its source.
-        """
-        from repro.store.storage import GraphStorage
-
+    def _needs_legacy_import(self) -> bool:
+        """True when the root holds legacy file-engine files and a database
+        with no history: no graph rows, no write-log rows and no truncated
+        log (a store whose graphs were all dropped has the last)."""
         assert self.directory is not None
-        legacy = GraphStorage(self.directory, io=self.io)
-        for descriptor in legacy.catalog.descriptors():
-            graph = legacy.graph(descriptor.name)
-            self.catalog.register(
-                descriptor.name,
-                kind=descriptor.kind,
-                description=descriptor.description,
-                metadata=dict(descriptor.metadata),
-            )
-            self._graphs[descriptor.name] = graph.copy(name=descriptor.name)
-            self._refresh_counts(descriptor.name)
-            self._write_graph_rows(descriptor.name)
-            self.recovery_report.migrated_graphs += 1
-        self.save_catalog()
-        if legacy.wal.next_seq > 1:
-            base = legacy.wal.next_seq - 1
-            with self.db.transaction("sqlite.migrate.seq"):
-                self.db.execute(
-                    "INSERT INTO meta (key, value) VALUES ('wal_base_seq', ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                    (str(base),),
-                )
-            self.wal._base_seq = base  # noqa: SLF001 - same-package counter carry-over
-            self.wal._next_seq = base + 1
-        self.recovery_report.records_replayed += legacy.recovery_report.records_replayed
-        self.recovery_report.quarantined.extend(legacy.recovery_report.quarantined)
+        if not legacy.has_legacy_files(self.directory):
+            return False
+        (history,) = self.db.execute(
+            "SELECT (SELECT count(*) FROM graphs) + (SELECT count(*) FROM wal_log) "
+            "+ (SELECT count(*) FROM meta WHERE key = 'wal_base_seq')"
+        ).fetchone()
+        return history == 0
+
+    def _import_legacy_root(self) -> None:
+        """Import a JSON file-engine root into the empty database.
+
+        Snapshots load first (in file-name order), the legacy write log
+        replays over them, and the catalog's descriptor attributes merge in
+        last — the order the file engine recovered in.  Every graph's rows,
+        the catalog rows and the carried-over sequence counter then commit
+        in **one** transaction: a crash mid-import leaves the database
+        empty, and the next open imports again.  The legacy files stay in
+        place; an import never destroys its source.
+        """
+        assert self.directory is not None
+        report = self.recovery_report
+        for name, graph in legacy.read_snapshots(self.directory, self.io, report.quarantined):
+            if name not in self.catalog:
+                self.catalog.register(name)
+            self._graphs[name] = graph
+            self._refresh_counts(name)
+        log = legacy.read_log(self.directory, self.io)
+        for record in log.records:
+            self._replay(record)
+        report.records_replayed += len(log.records)
+        report.wal_torn_bytes += log.torn_bytes
+        attributes = legacy.read_catalog(self.directory, self.io, report.quarantined)
+        for name, values in attributes.items():
+            if name not in self.catalog:
+                continue  # snapshot gone: the graphs on disk win
+            descriptor = self.catalog.get(name)
+            descriptor.kind = values.get("kind", descriptor.kind)
+            descriptor.description = values.get("description", descriptor.description)
+            descriptor.metadata.update(values.get("metadata", {}))
+        with self.db.transaction("sqlite.import"):
+            for name in self.catalog.names():
+                index = self._interval_index_for(name)
+                self._insert_graph_rows(name, index)
+                self._mark_rows_written(name, index)
+            self._insert_catalog_rows()
+            if log.next_seq > 1:
+                write_base_seq(self.db, log.next_seq - 1)
+        report.migrated_graphs += len(self.catalog)
 
     def _recover(self) -> None:
         """Load the catalog, then replay write-log records over row state.
@@ -243,7 +296,7 @@ class SQLiteGraphStorage:
             "SELECT name, kind, description, metadata, node_count, edge_count, snapshotted "
             "FROM graphs ORDER BY position"
         ).fetchall():
-            if name in self.catalog:  # registered by legacy migration
+            if name in self.catalog:  # registered by the legacy import
                 continue
             self.catalog.register(
                 name, kind=kind, description=description, metadata=json.loads(metadata)
@@ -287,8 +340,8 @@ class SQLiteGraphStorage:
         if name in self._graphs:
             return self._graphs[name]
         if name not in self.catalog:
-            # Mutation for a graph with no row and no create record:
-            # tolerate it, as the file engine does.
+            # Mutation for a graph with no row and no create record (its
+            # snapshot may have been removed by hand): tolerate it.
             self.catalog.register(name)
             self._graphs[name] = PropertyGraph(name=name)
             return self._graphs[name]
@@ -300,7 +353,7 @@ class SQLiteGraphStorage:
         return graph
 
     # ------------------------------------------------------------------ #
-    # graph lifecycle (GraphStorage surface)
+    # graph lifecycle
     # ------------------------------------------------------------------ #
     @property
     def durable(self) -> bool:
@@ -403,10 +456,10 @@ class SQLiteGraphStorage:
     def checkpoint(self) -> None:
         """Write snapshot rows for every dirty graph, then truncate the log.
 
-        The file engine's ordering argument carries over: snapshot rows and
-        the catalog commit *before* the log empties, and the injection
-        point in the gap lets the crash suite prove that replaying the full
-        log over fresh rows converges (replay is idempotent).
+        Snapshot rows and the catalog commit *before* the log empties, and
+        the injection point in the gap lets the crash suite prove that
+        replaying the full log over fresh rows converges (replay is
+        idempotent).
         """
         if not self.durable:
             return
@@ -424,32 +477,37 @@ class SQLiteGraphStorage:
     def save_catalog(self) -> None:
         """Persist catalog descriptors and refresh the account tables.
 
-        One transaction rewrites the ``graphs`` descriptor rows (counts
-        included — they are cheap here, unlike the file engine's JSON
-        dump) and re-materializes ``accounts``/``markings``/
-        ``account_listing`` from the ``protected_account`` descriptors.
-        No-op for in-memory stores, matching the file engine.
+        One transaction rewrites the ``graphs`` descriptor rows and
+        re-materializes ``accounts``/``markings``/``account_listing`` from
+        the ``protected_account`` descriptors.  Callers that mutate a
+        descriptor directly (e.g. account persistence) call this afterwards.
+        In-memory stores skip it: nothing reopens them, and
+        :meth:`list_accounts` refreshes its rows on demand there.
         """
         if not self.durable or self.read_only:
             return
         with self.db.transaction("sqlite.catalog"):
-            self.db.execute("DELETE FROM graphs")
-            for position, descriptor in enumerate(self.catalog.descriptors()):
-                self.db.execute(
-                    "INSERT INTO graphs (name, kind, description, metadata, node_count, "
-                    "edge_count, position, snapshotted) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        descriptor.name,
-                        descriptor.kind,
-                        descriptor.description,
-                        json.dumps(dict(descriptor.metadata), default=str),
-                        descriptor.node_count,
-                        descriptor.edge_count,
-                        position,
-                        1 if descriptor.name in self._snapshotted else 0,
-                    ),
-                )
-            self._refresh_account_tables()
+            self._insert_catalog_rows()
+
+    def _insert_catalog_rows(self) -> None:
+        """Rewrite the descriptor and account rows (inside the caller's txn)."""
+        self.db.execute("DELETE FROM graphs")
+        for position, descriptor in enumerate(self.catalog.descriptors()):
+            self.db.execute(
+                "INSERT INTO graphs (name, kind, description, metadata, node_count, "
+                "edge_count, position, snapshotted) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    descriptor.name,
+                    descriptor.kind,
+                    descriptor.description,
+                    json.dumps(dict(descriptor.metadata), default=str),
+                    descriptor.node_count,
+                    descriptor.edge_count,
+                    position,
+                    1 if descriptor.name in self._snapshotted else 0,
+                ),
+            )
+        self._refresh_account_tables()
 
     def _refresh_account_tables(self) -> None:
         """Rebuild accounts/markings/account_listing (inside the caller's txn)."""
@@ -516,80 +574,95 @@ class SQLiteGraphStorage:
         if self.db.fts_enabled:
             self.db.execute("DELETE FROM node_search WHERE graph = ?", (name,))
 
-    def _write_graph_rows(self, name: str) -> None:
-        """Atomically rewrite one graph's snapshot + derived rows."""
+    def _interval_index_for(self, name: str) -> IntervalIndex:
+        """The graph's interval index: attached on first use, refreshed after.
+
+        The delta hook (:func:`~repro.graph.intervals.attach_interval_maintenance`)
+        keeps the index valid across feature-only edits, so a refresh
+        re-encodes only after structural changes.
+        """
         graph = self._graphs[name]
         index = self._interval_index.get(name)
         if index is None:
-            index = IntervalIndex(graph)
-            self._interval_index[name] = index
+            index = self._interval_index[name] = IntervalIndex(graph)
             self._interval_tokens[name] = attach_interval_maintenance(graph, index) or 0
         else:
             index.refresh(graph)
-        descriptor = self.catalog.get(name)
+        return index
+
+    def _write_graph_rows(self, name: str) -> None:
+        """Atomically rewrite one graph's snapshot + derived rows."""
+        index = self._interval_index_for(name)
         with self.db.transaction("sqlite.snapshot"):
-            self._delete_graph_rows(name)
-            self.db.executemany(
-                "INSERT INTO nodes (graph, id, kind, features, position) VALUES (?, ?, ?, ?, ?)",
-                [
-                    (
-                        name,
-                        encode_id(node.node_id),
-                        node.kind,
-                        json.dumps(dict(node.features), default=str),
-                        position,
-                    )
-                    for position, node in enumerate(graph.nodes())
-                ],
-            )
-            self.db.executemany(
-                "INSERT INTO edges (graph, source, target, label, features, position) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        name,
-                        encode_id(edge.source),
-                        encode_id(edge.target),
-                        edge.label,
-                        json.dumps(dict(edge.features), default=str),
-                        position,
-                    )
-                    for position, edge in enumerate(graph.edges())
-                ],
-            )
-            self._insert_interval_rows(name, index)
-            if self.db.fts_enabled:
-                self.db.executemany(
-                    "INSERT INTO node_search (graph, id, body) VALUES (?, ?, ?)",
-                    [
-                        (name, encode_id(node.node_id), _search_body(node))
-                        for node in graph.nodes()
-                    ],
-                )
-            self.db.execute(
-                "INSERT INTO graphs (name, kind, description, metadata, node_count, "
-                "edge_count, position, snapshotted) VALUES (?, ?, ?, ?, ?, ?, "
-                "COALESCE((SELECT position FROM graphs WHERE name = ?), "
-                "(SELECT COALESCE(MAX(position), -1) + 1 FROM graphs)), 1) "
-                "ON CONFLICT(name) DO UPDATE SET kind = excluded.kind, "
-                "description = excluded.description, metadata = excluded.metadata, "
-                "node_count = excluded.node_count, edge_count = excluded.edge_count, "
-                "snapshotted = 1",
-                (
-                    name,
-                    descriptor.kind,
-                    descriptor.description,
-                    json.dumps(dict(descriptor.metadata), default=str),
-                    graph.node_count(),
-                    graph.edge_count(),
-                    name,
-                ),
-            )
+            self._insert_graph_rows(name, index)
+        self._mark_rows_written(name, index)
+
+    def _mark_rows_written(self, name: str, index: IntervalIndex) -> None:
         self._snapshotted.add(name)
-        self._row_versions[name] = graph.version
+        self._row_versions[name] = self._graphs[name].version
         self._interval_written[name] = index.revision
 
-    def _insert_interval_rows(self, name: str, index: IntervalIndex) -> None:
+    def _insert_graph_rows(self, name: str, index: IntervalIndex) -> None:
+        """Replace one graph's snapshot + derived rows (inside the caller's txn)."""
+        graph = self._graphs[name]
+        descriptor = self.catalog.get(name)
+        keys = IdTexts()
+        self._delete_graph_rows(name)
+        self.db.executemany(
+            "INSERT INTO nodes (graph, id, kind, features, position) VALUES (?, ?, ?, ?, ?)",
+            [
+                (
+                    name,
+                    keys[node.node_id],
+                    node.kind,
+                    json.dumps(dict(node.features), default=str),
+                    position,
+                )
+                for position, node in enumerate(graph.nodes())
+            ],
+        )
+        self.db.executemany(
+            "INSERT INTO edges (graph, source, target, label, features, position) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            [
+                (
+                    name,
+                    keys[edge.source],
+                    keys[edge.target],
+                    edge.label,
+                    json.dumps(dict(edge.features), default=str),
+                    position,
+                )
+                for position, edge in enumerate(graph.edges())
+            ],
+        )
+        self._insert_interval_rows(name, index, keys)
+        if self.db.fts_enabled:
+            self.db.executemany(
+                "INSERT INTO node_search (graph, id, body) VALUES (?, ?, ?)",
+                [(name, keys[node.node_id], _search_body(node)) for node in graph.nodes()],
+            )
+        self.db.execute(
+            "INSERT INTO graphs (name, kind, description, metadata, node_count, "
+            "edge_count, position, snapshotted) VALUES (?, ?, ?, ?, ?, ?, "
+            "COALESCE((SELECT position FROM graphs WHERE name = ?), "
+            "(SELECT COALESCE(MAX(position), -1) + 1 FROM graphs)), 1) "
+            "ON CONFLICT(name) DO UPDATE SET kind = excluded.kind, "
+            "description = excluded.description, metadata = excluded.metadata, "
+            "node_count = excluded.node_count, edge_count = excluded.edge_count, "
+            "snapshotted = 1",
+            (
+                name,
+                descriptor.kind,
+                descriptor.description,
+                json.dumps(dict(descriptor.metadata), default=str),
+                graph.node_count(),
+                graph.edge_count(),
+                name,
+            ),
+        )
+
+    def _insert_interval_rows(self, name: str, index: IntervalIndex, keys: IdTexts) -> None:
         forward, reverse = index.forward, index.reverse
         self.db.executemany(
             "INSERT INTO intervals (graph, node, pre, post, level, rpre, rpost, rlevel) "
@@ -597,7 +670,7 @@ class SQLiteGraphStorage:
             [
                 (
                     name,
-                    encode_id(node),
+                    keys[node],
                     forward.pre[node],
                     forward.post[node],
                     forward.level[node],
@@ -613,25 +686,11 @@ class SQLiteGraphStorage:
             "(graph, direction, source, target, source_pre, source_post) "
             "VALUES (?, ?, ?, ?, ?, ?)",
             [
-                (
-                    name,
-                    "f",
-                    encode_id(source),
-                    encode_id(target),
-                    forward.pre[source],
-                    forward.post[source],
-                )
+                (name, "f", keys[source], keys[target], forward.pre[source], forward.post[source])
                 for source, target in forward.extra_edges
             ]
             + [
-                (
-                    name,
-                    "r",
-                    encode_id(source),
-                    encode_id(target),
-                    reverse.pre[source],
-                    reverse.post[source],
-                )
+                (name, "r", keys[source], keys[target], reverse.pre[source], reverse.post[source])
                 for source, target in reverse.extra_edges
             ],
         )
@@ -671,7 +730,7 @@ class SQLiteGraphStorage:
         a graph that was never materialized stays on disk.  During an edit
         burst — structural changes still arriving between queries — the
         closure is answered by an in-memory traversal instead (pinned equal
-        to the interval scan by the cross-engine differential suite), so
+        to the interval scan by the differential suite), so
         the O(V) forest re-encode runs once when the burst settles rather
         than once per interleaved query.  Read-only opens whose write-log
         replay advanced a graph past its snapshot rows take the same
@@ -787,6 +846,10 @@ class SQLiteGraphStorage:
 
     def list_accounts(self, *, tenant: Optional[str] = None) -> List[Dict[str, Any]]:
         """The materialized account listing, optionally filtered by tenant."""
+        if not self.durable:
+            # In-memory stores skip catalog writes (see save_catalog).
+            with self.db.transaction("sqlite.catalog"):
+                self._refresh_account_tables()
         sql = (
             "SELECT name, graph, tenant, privilege, strategy, node_count, edge_count, "
             "surrogate_nodes, surrogate_edges FROM account_listing"
@@ -825,26 +888,17 @@ class SQLiteGraphStorage:
         """Bring the persisted interval rows up to date with the live graph.
 
         Non-resident graphs need nothing — their rows were written with
-        their snapshot.  Resident graphs re-encode lazily: the delta hook
-        (:func:`~repro.graph.intervals.attach_interval_maintenance`) keeps
-        the index valid across feature-only edits, so only structural
+        their snapshot.  Resident graphs re-encode lazily: only structural
         changes (or a fresh residency) trigger an encode + row rewrite.
         """
-        graph = self._graphs.get(name)
-        if graph is None or self.read_only:
+        if name not in self._graphs or self.read_only:
             return
-        index = self._interval_index.get(name)
-        if index is None:
-            index = IntervalIndex(graph)
-            self._interval_index[name] = index
-            self._interval_tokens[name] = attach_interval_maintenance(graph, index) or 0
-        else:
-            index.refresh(graph)
+        index = self._interval_index_for(name)
         if self._interval_written.get(name) != index.revision or name not in self._interval_rows():
             with self.db.transaction("sqlite.intervals"):
                 self.db.execute("DELETE FROM intervals WHERE graph = ?", (name,))
                 self.db.execute("DELETE FROM extra_edges WHERE graph = ?", (name,))
-                self._insert_interval_rows(name, index)
+                self._insert_interval_rows(name, index, IdTexts())
             self._interval_written[name] = index.revision
 
     def _interval_rows(self) -> Set[str]:

@@ -1,31 +1,71 @@
-"""The logical write log of the SQLite engine.
+"""The store's logical write log, kept in the ``wal_log`` table.
 
-Presents the exact :class:`~repro.store.wal.WriteAheadLog` surface —
-``append`` / ``truncate`` / ``records`` / ``records_since`` / ``next_seq``
-/ ``base_seq`` / ``recovery_info`` — over a ``wal_log`` table instead of a
-framed file.  Durability moves down a layer: each append is one committed
-SQLite transaction, so torn-tail truncation and CRC framing (the ``W1``
-format) are unnecessary — SQLite's own WAL guarantees the row is either
-wholly durable or absent.  ``recovery_info.torn_bytes_truncated`` is
-therefore always 0 on this engine.
+Every mutation of the store is one :class:`LogRecord`; replaying the log
+over the snapshot rows reconstructs the store's state.  Each append is one
+committed SQLite transaction, so a record is either wholly durable or
+absent: SQLite's own WAL journal supplies the atomicity, and there is no
+torn tail to find on reopen.
 
-Sequence numbers survive truncation exactly as the file log's checkpoint
-marker records do: :meth:`truncate` persists ``base_seq`` (the highest
-sequence truncated away) into the ``meta`` table in the same transaction
-that clears the rows, so the service-checkpoint stamp protocol
-(:mod:`repro.api.checkpoints`) works unchanged — a stamp ``S`` is provably
-complete history exactly when ``S > base_seq``.
+Sequence numbers survive truncation: :meth:`SQLiteWriteLog.truncate`
+persists ``base_seq`` (the highest sequence truncated away) into the
+``meta`` table in the same transaction that clears the rows, so the
+service-checkpoint stamp protocol (:mod:`repro.api.checkpoints`) can prove
+a tail complete — a stamp ``S`` is complete history exactly when
+``S > base_seq``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.exceptions import StoreError
 from repro.store.io import StorageIO
 from repro.store.sqlite.connection import Database
-from repro.store.wal import KNOWN_OPS, LogRecord, WalRecoveryInfo
+
+#: Operations understood by the replay logic.  ``txn`` is a composite record
+#: whose payload carries a whole transaction's operations — one committed
+#: append, so the batch commits (and replays) atomically.
+KNOWN_OPS = (
+    "create_graph",
+    "drop_graph",
+    "add_node",
+    "remove_node",
+    "add_edge",
+    "remove_edge",
+    "set_node_features",
+    "txn",
+)
+
+
+@dataclass(frozen=True)
+class LogRecord:
+    """One entry of the write log."""
+
+    seq: int
+    op: str
+    graph: str
+    payload: Dict[str, Any]
+
+
+@dataclass
+class WalRecoveryInfo:
+    """What opening the write log found (surfaced via ``service.health()``)."""
+
+    records: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {"records": self.records}
+
+
+def write_base_seq(db: Database, base_seq: int) -> None:
+    """Persist the log's ``base_seq`` (inside the caller's transaction)."""
+    db.execute(
+        "INSERT INTO meta (key, value) VALUES ('wal_base_seq', ?) "
+        "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+        (str(base_seq),),
+    )
 
 
 class SQLiteWriteLog:
@@ -59,15 +99,16 @@ class SQLiteWriteLog:
 
         The in-memory record list and the sequence counter advance only
         after the commit succeeded, so a failed (and retried) append never
-        leaves the memory image ahead of durable state — the same contract
-        the file log keeps by extending its list after the fsync.
+        leaves the memory image ahead of durable state.  A fault reported
+        *after* the commit leaves the counter where it was, so the retry
+        rewrites the same row instead of colliding with it.
         """
         if op not in KNOWN_OPS:
             raise StoreError(f"unknown write-log operation {op!r}")
         record = LogRecord(seq=self._next_seq, op=op, graph=graph, payload=dict(payload or {}))
         with self.db.transaction("sqlite.append"):
             self.db.execute(
-                "INSERT INTO wal_log (seq, op, graph, payload) VALUES (?, ?, ?, ?)",
+                "INSERT OR REPLACE INTO wal_log (seq, op, graph, payload) VALUES (?, ?, ?, ?)",
                 (record.seq, record.op, record.graph, json.dumps(record.payload, default=str)),
             )
         self._next_seq += 1
@@ -84,11 +125,7 @@ class SQLiteWriteLog:
         marker_seq = self._next_seq
         with self.db.transaction("sqlite.wal.truncate"):
             self.db.execute("DELETE FROM wal_log")
-            self.db.execute(
-                "INSERT INTO meta (key, value) VALUES ('wal_base_seq', ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (str(marker_seq),),
-            )
+            write_base_seq(self.db, marker_seq)
         self._records.clear()
         self._base_seq = marker_seq
         self._next_seq = marker_seq + 1

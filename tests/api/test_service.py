@@ -214,6 +214,17 @@ class TestDeltaBus:
         assert ref() is None
         assert service.health()["delta_bus"] == {"listeners": 3}
 
+    def test_dead_services_leave_at_most_one_observer_on_the_graph(self, figure2b):
+        graph = figure2b.graph
+        live = ProtectionService(graph, figure2b.policy.copy())
+        for _ in range(300):
+            ProtectionService(graph, figure2b.policy.copy())
+        gc.collect()
+        # Nothing mutates the graph, so only subscribe can drop the dead
+        # entries: the live service's, plus the newest dead one.
+        assert len(graph._observers) == 2
+        assert live.graph is graph
+
 
 class TestPersistence:
     def test_store_round_trip_scores_identical(self, figure2b):

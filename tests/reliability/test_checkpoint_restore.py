@@ -9,6 +9,7 @@ anything suspicious must come back ``cold``, never wrong.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -68,6 +69,40 @@ def fresh_tables(graph):
     """A from-scratch compile on an unrelated policy object, for comparison."""
     view = build_policy(build_lattice()).markings.compile(graph, "Public")
     return dict(view.node_default), dict(view.edge_state_table)
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_dropped_warm_restarts_leave_the_root_byte_identical(tmp_path):
+    """Reopen, restore warm, protect, drop — without a full collection.
+
+    Each dropped store must close its database on the spot: the root keeps
+    exactly its bytes and no ``-wal``/``-shm`` file outlives the store.
+    """
+    store, service = first_boot(tmp_path)
+    service.checkpoint(service.protect(privilege="Public"), name="svc")
+    store = service = None
+    root = tmp_path / "store"
+    before = _tree(root)
+    assert not [name for name in before if name.endswith(("-wal", "-shm"))]
+    gc.disable()
+    try:
+        for _ in range(3):
+            store, service = reboot(tmp_path)
+            report = service.restore(name="svc")
+            result = service.protect(privilege="Public")
+            assert report.mode == "warm", report.reason
+            assert result.timings_ms["cache_hit"] == 1.0
+            store = service = report = result = None
+            assert _tree(root) == before
+    finally:
+        gc.enable()
 
 
 def test_warm_restore_is_exact(tmp_path):

@@ -6,12 +6,9 @@ pins — (1) the reopened store is a consistent prefix (zero committed-data
 loss, zero torn state), and (2) resuming the script from the crash point
 converges on exactly the state a fault-free run produces.
 
-The whole sweep runs on **both storage engines**: the file engine crosses
-its atomic-write/append/fsync points, the SQLite engine crosses the
-``sqlite.<txn>.begin/.commit/.after`` points around every transaction
-(append, snapshot, catalog, log truncation) plus the staged gap inside
-:meth:`checkpoint`.  The recovery contract is engine-independent; only the
-point names differ.
+The sweep crosses the ``sqlite.<txn>.begin/.commit/.after`` points around
+every transaction (schema, append, snapshot, catalog, log truncation) plus
+the staged gap inside :meth:`checkpoint`.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.reliability import FaultInjector, Injection, SimulatedCrash
-from repro.store.engine import STORE_ENGINES, GraphStore
+from repro.store.engine import GraphStore
 
 from tests.reliability.conftest import (
     apply_op,
@@ -41,46 +38,41 @@ def baseline_state(script):
     return state_snapshot(model)
 
 
-def record_trace(tmp_path, script, tag, engine):
+def record_trace(tmp_path, script, tag):
     """Every injection point one full run of ``script`` crosses, in order."""
     recorder = FaultInjector()
-    store = GraphStore(tmp_path / f"record-{tag}", io=recorder, engine=engine)
+    store = GraphStore(tmp_path / f"record-{tag}", io=recorder)
     for op in script:
         apply_op(store, op)
     return recorder.trace
 
 
-@pytest.mark.parametrize("engine", STORE_ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fault_free_run_is_durable(tmp_path, seed, engine):
+def test_fault_free_run_is_durable(tmp_path, seed):
     script = random_script(seed)
-    store = GraphStore(tmp_path / "plain", engine=engine)
+    store = GraphStore(tmp_path / "plain")
     for op in script:
         apply_op(store, op)
-    assert state_snapshot(GraphStore(tmp_path / "plain", engine=engine)) == baseline_state(
-        script
-    )
+    assert state_snapshot(GraphStore(tmp_path / "plain")) == baseline_state(script)
 
 
-@pytest.mark.parametrize("engine", STORE_ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_crash_anywhere_then_resume_reaches_the_baseline(tmp_path, seed, engine):
+def test_crash_anywhere_then_resume_reaches_the_baseline(tmp_path, seed):
     script = random_script(seed)
     final = baseline_state(script)
-    trace = record_trace(tmp_path, script, seed, engine)
+    trace = record_trace(tmp_path, script, seed)
     assert len(trace) > 20  # the sweep below must actually cover boundaries
-    if engine == "sqlite":
-        # The named transaction points really are crossed on this engine.
-        assert any(point.startswith("sqlite.append.") for point in trace)
-        assert any(point.startswith("sqlite.wal.truncate.") for point in trace)
-        assert "sqlite.checkpoint.staged" in trace
+    # The named transaction points really are crossed.
+    assert any(point.startswith("sqlite.append.") for point in trace)
+    assert any(point.startswith("sqlite.wal.truncate.") for point in trace)
+    assert "sqlite.checkpoint.staged" in trace
 
     for index in range(len(trace)):
         directory = tmp_path / f"run-{index}"
         injector = FaultInjector([Injection(mode="crash", at=index)])
         crashed = False
         try:
-            store = GraphStore(directory, io=injector, engine=engine)
+            store = GraphStore(directory, io=injector)
             for op in script:
                 apply_op(store, op)
         except SimulatedCrash:
@@ -91,7 +83,7 @@ def test_crash_anywhere_then_resume_reaches_the_baseline(tmp_path, seed, engine)
         # Re-derive how many ops completed before the crash: a fresh
         # recording run crosses the same deterministic point sequence.
         probe = FaultInjector()
-        probe_store = GraphStore(tmp_path / f"probe-{index}", io=probe, engine=engine)
+        probe_store = GraphStore(tmp_path / f"probe-{index}", io=probe)
         completed = 0
         for op in script:
             apply_op(probe_store, op)
@@ -100,10 +92,10 @@ def test_crash_anywhere_then_resume_reaches_the_baseline(tmp_path, seed, engine)
             completed += 1
 
         # Property 1: recovery lands on a consistent prefix.
-        reopened = GraphStore(directory, engine=engine)
+        reopened = GraphStore(directory)
         recovered = state_snapshot(reopened)
         assert recovered in expected_states(script, completed), (
-            f"seed {seed}, engine {engine}, crash at point {index} ({trace[index]}): "
+            f"seed {seed}, crash at point {index} ({trace[index]}): "
             f"recovered state is not a consistent prefix (completed={completed})"
         )
 
@@ -117,31 +109,27 @@ def test_crash_anywhere_then_resume_reaches_the_baseline(tmp_path, seed, engine)
             for op in script[completed + 1 :]:
                 apply_op(reopened, op)
         assert state_snapshot(reopened) == final, (
-            f"seed {seed}, engine {engine}, crash at point {index} ({trace[index]}): "
+            f"seed {seed}, crash at point {index} ({trace[index]}): "
             "resume did not reach the fault-free state"
         )
         # And the resumed state is itself durable.
-        assert state_snapshot(GraphStore(directory, engine=engine)) == final
+        assert state_snapshot(GraphStore(directory)) == final
 
 
-@pytest.mark.parametrize("engine", STORE_ENGINES)
-def test_corrupt_store_artifact_quarantined_on_both_engines(tmp_path, engine):
-    """Quarantine parity: external damage is renamed aside, never fatal."""
-    store = GraphStore(tmp_path, engine=engine)
+def test_corrupt_database_quarantined(tmp_path):
+    """External damage is renamed aside, never fatal."""
+    store = GraphStore(tmp_path)
     store.create_graph("g")
     store.add_node("g", "a", features={"v": 1})
     store.checkpoint()
-    if engine == "sqlite":
-        store.storage.db.close()
-        target = tmp_path / "store.sqlite"
-        for sidecar in (f"{target.name}-wal", f"{target.name}-shm"):
-            path = tmp_path / sidecar
-            if path.exists():
-                path.unlink()
-    else:
-        target = next(tmp_path.glob("*.graph.json"))
+    store.storage.db.close()
+    target = tmp_path / "store.sqlite"
+    for sidecar in (f"{target.name}-wal", f"{target.name}-shm"):
+        path = tmp_path / sidecar
+        if path.exists():
+            path.unlink()
     target.write_bytes(b"\x00garbage\x00" * 64)
-    reopened = GraphStore(tmp_path, engine=engine)
+    reopened = GraphStore(tmp_path)
     report = reopened.storage.recovery_report
     assert target.name in report.quarantined
     assert not report.clean
@@ -152,5 +140,5 @@ def test_corrupt_store_artifact_quarantined_on_both_engines(tmp_path, engine):
         reopened.add_node("g", "a", features={"v": 1})
     reopened.add_node("g", "b")
     reopened.checkpoint()
-    final = GraphStore(tmp_path, engine=engine)
+    final = GraphStore(tmp_path)
     assert final.storage.graph("g").has_node("b")

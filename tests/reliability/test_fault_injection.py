@@ -1,11 +1,12 @@
-"""Crash-everywhere: every fsync/rename boundary, every failure mode.
+"""Crash-everywhere: every transaction boundary, every failure mode.
 
 One fixed workload runs once under a recording injector to enumerate every
-injection point it crosses.  Then, for every point: crash there (and, at
-write points, tear the write first), reopen the store with plain I/O, and
-assert the recovered state is a consistent prefix — the completed ops, plus
-at most the op that was in flight.  Zero data loss, no torn state, at every
-boundary the storage layer has.
+injection point it crosses: the ``begin``/``commit``/``after`` points around
+each SQLite transaction, plus the staged gap inside a checkpoint.  Then, for
+every point: crash there, reopen the store with plain I/O, and assert the
+recovered state is a consistent prefix — the completed ops, plus at most the
+op that was in flight.  Zero data loss, no torn state, at every boundary the
+storage layer has.
 """
 
 from __future__ import annotations
@@ -55,25 +56,23 @@ def record_trace(tmp_path):
     return recorder.trace
 
 
+#: Every transaction the store runs: the open's schema creation, write-log
+#: appends, catalog saves, snapshot rows and the checkpoint's log truncation.
+TRANSACTIONS = ("schema", "append", "catalog", "snapshot", "wal.truncate")
+
+
 def test_the_workload_crosses_every_kind_of_boundary(tmp_path):
     trace = record_trace(tmp_path)
     crossed = set(trace)
-    # Appends (write-log records), atomic writes (snapshots, catalog,
-    # truncation markers) and directory fsyncs must all be exercised, or
-    # the crash-everywhere sweep below proves less than it claims.
-    for point in (
-        "append.before",
-        "append.write",
-        "append.fsync",
-        "append.after",
-        "atomic.before",
-        "atomic.write",
-        "atomic.fsync",
-        "atomic.replace",
-        "atomic.after",
-        "dir.fsync",
-    ):
-        assert point in crossed, f"workload never crossed {point}"
+    # Every transaction's three points and the checkpoint's staged gap must
+    # all be exercised, or the crash-everywhere sweep below proves less
+    # than it claims.
+    for transaction in TRANSACTIONS:
+        for step in ("begin", "commit", "after"):
+            point = f"sqlite.{transaction}.{step}"
+            assert point in crossed, f"workload never crossed {point}"
+    assert "sqlite.checkpoint.staged" in crossed
+    assert all(point.startswith("sqlite.") for point in crossed)
     assert len(trace) > 40
 
 
@@ -119,52 +118,49 @@ def test_crash_at_every_injection_point_loses_no_committed_data(tmp_path, mode):
         )
 
 
-def test_torn_write_leaves_bytes_on_disk_and_recovery_heals_them(tmp_path):
-    """A torn append is really torn (prefix on disk) and really healed."""
-    directory = tmp_path / "torn"
-    injector = FaultInjector([Injection(mode="torn_write", point="append.write", occurrence=3)])
-    store = GraphStore(directory, io=injector)
-    with pytest.raises(SimulatedCrash):
-        run_script(store, SCRIPT)
-    assert injector.fired == ["append.write"]
-    reopened = GraphStore(directory)
-    health = reopened.health()
-    assert health["wal"]["torn_bytes_truncated"] > 0
-    all_prefixes = [
-        state
-        for completed in range(len(SCRIPT) + 1)
-        for state in expected_states(SCRIPT, completed)
-    ]
-    assert state_snapshot(reopened) in all_prefixes
-
-
 def test_transient_fault_with_retry_completes_the_workload(tmp_path):
-    """os_error mode + engine retry: the workload finishes, state is exact."""
+    """os_error mode + engine retry: the workload finishes, state is exact.
+
+    One transient fault at every point the workload crosses, one run each.
+    The open's ``sqlite.schema.*`` points are included: the store opens
+    through its retry policy too, so a fault while creating the schema is
+    one retried open rather than a failed constructor.
+    """
     baseline = GraphStore()
     for op in SCRIPT:
         if op[0] != "checkpoint":
             apply_op(baseline, op)
     trace = record_trace(tmp_path)
-    # One transient fault at every write-ish point, one run each.
     for index, point in enumerate(trace):
-        if not point.startswith(("append.", "atomic.")):
-            continue
         directory = tmp_path / f"transient-{index}"
         injector = FaultInjector([Injection(mode="os_error", at=index)])
         store = GraphStore(
             directory, io=injector, retry=RetryPolicy(3, sleep=lambda _s: None)
         )
         run_script(store, SCRIPT)  # must not raise: the retry absorbs it
+        assert injector.fired == [point], f"point {index} ({point}) never fired"
+        assert store.retry.stats()["retries"] == 1
         assert state_snapshot(store) == state_snapshot(baseline)
-        if injector.fired:
-            assert store.retry.stats()["retries"] >= 1
-            # And the state is durable: reopen with plain I/O agrees.
-            assert state_snapshot(GraphStore(directory)) == state_snapshot(baseline)
+        # And the state is durable: reopen with plain I/O agrees.
+        assert state_snapshot(GraphStore(directory)) == state_snapshot(baseline)
+
+
+def test_open_time_fault_without_retry_fails_the_open_cleanly(tmp_path):
+    """Without a retry policy a schema fault fails the constructor, typed."""
+    directory = tmp_path / "open"
+    injector = FaultInjector([Injection(mode="os_error", point="sqlite.schema.commit")])
+    with pytest.raises(TransientError) as excinfo:
+        GraphStore(directory, io=injector)
+    assert excinfo.value.point == "sqlite.schema.commit"
+    # Nothing half-made is left behind: a plain open succeeds and works.
+    store = GraphStore(directory)
+    store.create_graph("wf")
+    assert GraphStore(directory).has_graph("wf")
 
 
 def test_transient_fault_without_retry_is_a_clean_typed_failure(tmp_path):
     directory = tmp_path / "no-retry"
-    injector = FaultInjector([Injection(mode="os_error", point="append.fsync", occurrence=1)])
+    injector = FaultInjector([Injection(mode="os_error", point="sqlite.append.commit", occurrence=1)])
     store = GraphStore(directory, io=injector)
     store.create_graph("wf")
     with pytest.raises(TransientError) as excinfo:

@@ -1,133 +1,143 @@
-"""Write-log framing regressions: torn tails at every byte offset.
+"""Legacy write-log framing: torn tails at every byte offset, on import.
 
-The satellite regression the issue pins: chop the log's last record at
-*every* byte offset and prove recovery truncates exactly the torn tail —
-never a committed record, never less than the whole tear — and that the
-log stays appendable afterwards.
+Roots written by the retired JSON file engine carry a ``W1``-framed
+``wal.jsonl``.  The importer (:mod:`repro.store.sqlite.legacy`) must read
+exactly the intact records of such a log — never drop a committed record,
+never replay a torn one — without rewriting the legacy file, and the
+imported store must continue the log's sequence.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import CorruptionError
-from repro.store.wal import CHECKPOINT_MARKER_OP, LogRecord, WriteAheadLog
+from repro.exceptions import CorruptionError, StoreError
+from repro.store.engine import GraphStore
+from repro.store.io import StorageIO
+from repro.store.sqlite.legacy import parse_line, read_log
+
+from tests.store.conftest import legacy_frame, write_legacy_root
 
 
-def build_log(path, count=3):
-    """A log with ``count`` committed records; returns their frames."""
-    wal = WriteAheadLog(path)
-    for index in range(count):
-        wal.append("add_node", "g", {"id": f"n{index}", "kind": None, "features": {}})
-    return [record.to_frame() for record in wal.records()]
+def build_log(root, count=3):
+    """A legacy log with ``count`` committed records; returns their frames."""
+    frames = [
+        legacy_frame(index + 1, "add_node", payload={"id": f"n{index}", "kind": None, "features": {}})
+        for index in range(count)
+    ]
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "wal.jsonl").write_bytes(b"".join(frames))
+    return frames
+
+
+def read(root):
+    return read_log(root, StorageIO())
 
 
 def test_torn_tail_at_every_byte_offset(tmp_path):
-    """Bit-chopping the last record anywhere recovers the intact prefix."""
-    path = tmp_path / "wal.log"
-    frames = build_log(path, count=3)
+    """Chopping the last record anywhere imports the intact prefix."""
+    frames = build_log(tmp_path, count=3)
     intact = b"".join(frames[:-1])
     last = frames[-1]
     # Every proper prefix of the last frame, including the empty one.
     for cut in range(len(last)):
-        path.write_bytes(intact + last[:cut])
-        reopened = WriteAheadLog(path)
+        torn = intact + last[:cut]
+        (tmp_path / "wal.jsonl").write_bytes(torn)
+        log = read(tmp_path)
         if cut == len(last) - 1:
             # Only the trailing newline is missing: every payload byte is
             # on disk and the CRC checks out, so the record is legitimately
             # recoverable — losing it would be over-truncation.
-            assert [r.payload["id"] for r in reopened.records()] == ["n0", "n1", "n2"]
+            assert [r.payload["id"] for r in log.records] == ["n0", "n1", "n2"]
             continue
-        assert len(reopened) == 2, f"cut at {cut} byte(s) lost a committed record"
-        assert [record.payload["id"] for record in reopened.records()] == ["n0", "n1"]
-        if cut:
-            assert reopened.recovery_info.torn_bytes_truncated == cut
-        # The file was healed in place: the torn bytes are gone on disk.
-        assert path.read_bytes() == intact
+        assert [r.payload["id"] for r in log.records] == ["n0", "n1"], (
+            f"cut at {cut} byte(s) lost a committed record"
+        )
+        assert log.torn_bytes == cut
+        assert log.next_seq == 3
+        # The legacy file is read, never rewritten.
+        assert (tmp_path / "wal.jsonl").read_bytes() == torn
 
 
-def test_torn_single_record_log_recovers_to_empty(tmp_path):
-    path = tmp_path / "wal.log"
-    frames = build_log(path, count=1)
-    for cut in range(1, len(frames[0]) - 1):
-        path.write_bytes(frames[0][:cut])
-        reopened = WriteAheadLog(path)
-        assert len(reopened) == 0
-        assert reopened.recovery_info.torn_bytes_truncated == cut
+def test_torn_single_record_log_imports_as_empty(tmp_path):
+    [frame] = build_log(tmp_path, count=1)
+    for cut in range(1, len(frame) - 1):
+        (tmp_path / "wal.jsonl").write_bytes(frame[:cut])
+        log = read(tmp_path)
+        assert log.records == []
+        assert log.torn_bytes == cut
 
 
-def test_append_after_torn_recovery_continues_the_log(tmp_path):
-    path = tmp_path / "wal.log"
-    frames = build_log(path, count=2)
-    path.write_bytes(b"".join(frames) [: len(b"".join(frames)) - 5])
-    reopened = WriteAheadLog(path)
-    assert len(reopened) == 1
-    record = reopened.append("add_node", "g", {"id": "fresh"})
-    assert record.seq == reopened.records()[0].seq + 1
-    # And a further reopen sees both.
-    final = WriteAheadLog(path)
-    assert [r.payload["id"] for r in final.records()] == ["n0", "fresh"]
+def test_import_after_a_torn_tail_continues_the_sequence(tmp_path):
+    frames = build_log(tmp_path, count=2)
+    joined = b"".join(frames)
+    write_legacy_root(tmp_path, log=joined[: len(joined) - 5])
+    store = GraphStore(tmp_path)
+    assert store.graph("g").node_ids() == ["n0"]
+    assert store.health()["recovery"]["wal_torn_bytes"] == len(frames[1]) - 5
+    store.add_node("g", "fresh")
+    assert store.storage.wal.records()[-1].seq == 2
+    # And a further reopen sees both, without importing again.
+    reopened = GraphStore(tmp_path)
+    assert reopened.storage.recovery_report.migrated_graphs == 0
+    assert reopened.graph("g").node_ids() == ["n0", "fresh"]
 
 
 def test_mid_log_damage_refuses_to_drop_committed_history(tmp_path):
     """Garbage *before* intact records is corruption, not a torn tail."""
-    path = tmp_path / "wal.log"
-    frames = build_log(path, count=3)
+    frames = build_log(tmp_path, count=3)
     mangled = bytearray(frames[1])
     mangled[len(mangled) // 2] ^= 0xFF
-    path.write_bytes(frames[0] + bytes(mangled) + frames[2])
+    (tmp_path / "wal.jsonl").write_bytes(frames[0] + bytes(mangled) + frames[2])
     with pytest.raises(CorruptionError):
-        WriteAheadLog(path)
+        read(tmp_path)
 
 
 def test_crc_catches_in_place_bitrot(tmp_path):
-    path = tmp_path / "wal.log"
-    [frame] = build_log(path, count=1)
+    [frame] = build_log(tmp_path, count=1)
     body_start = frame.index(b"{")
     flipped = bytearray(frame)
     flipped[body_start + 5] ^= 0x01
-    path.write_bytes(bytes(flipped))
-    reopened = WriteAheadLog(path)  # single damaged record == torn tail
-    assert len(reopened) == 0
-    assert reopened.recovery_info.torn_bytes_truncated == len(frame)
+    (tmp_path / "wal.jsonl").write_bytes(bytes(flipped))
+    log = read(tmp_path)  # single damaged record == torn tail
+    assert log.records == []
+    assert log.torn_bytes == len(frame)
+
+
+def test_corrupt_line_detected():
+    with pytest.raises(StoreError):
+        parse_line(b"{not json")
+    with pytest.raises(StoreError):
+        parse_line(b'{"seq": 1, "op": "add_node"}')
 
 
 def test_legacy_bare_json_lines_still_replay(tmp_path):
-    path = tmp_path / "wal.log"
-    legacy = LogRecord(seq=1, op="add_node", graph="g", payload={"id": "old"})
-    path.write_bytes(legacy.to_json().encode("utf-8") + b"\n")
-    reopened = WriteAheadLog(path)
-    assert [record.payload["id"] for record in reopened.records()] == ["old"]
-    assert reopened.recovery_info.legacy_lines == 1
-    assert reopened.next_seq == 2
+    (tmp_path / "wal.jsonl").write_bytes(
+        b'{"graph": "g", "op": "add_node", "payload": {"id": "old"}, "seq": 1}\n'
+    )
+    log = read(tmp_path)
+    assert [record.payload["id"] for record in log.records] == ["old"]
+    assert log.next_seq == 2
 
 
 def test_truncation_marker_preserves_the_sequence_counter(tmp_path):
-    path = tmp_path / "wal.log"
-    wal = WriteAheadLog(path)
-    for index in range(4):
-        wal.append("add_node", "g", {"id": f"n{index}"})
-    stamp = wal.next_seq
-    wal.truncate()
-    assert len(wal) == 0
-    assert wal.base_seq == stamp
-    assert wal.next_seq == stamp + 1
-    # The marker survives a reopen: sequence numbers never restart.
-    reopened = WriteAheadLog(path)
-    assert len(reopened) == 0
-    assert reopened.base_seq == stamp
-    assert reopened.next_seq == stamp + 1
-    record = reopened.append("add_node", "g", {"id": "later"})
-    assert record.seq == stamp + 1
+    (tmp_path / "wal.jsonl").write_bytes(legacy_frame(5, "checkpoint", graph=""))
+    log = read(tmp_path)
+    assert log.records == []
+    assert log.next_seq == 6
+    store = GraphStore(tmp_path)
+    assert store.storage.wal.next_seq == 6
+    store.create_graph("g")
+    assert store.storage.wal.records()[-1].seq == 6
 
 
 def test_markers_never_surface_as_records(tmp_path):
-    path = tmp_path / "wal.log"
-    wal = WriteAheadLog(path)
-    wal.append("add_node", "g", {"id": "a"})
-    wal.truncate()
-    wal.append("add_node", "g", {"id": "b"})
-    reopened = WriteAheadLog(path)
-    assert [record.op for record in reopened.records()] == ["add_node"]
-    assert all(record.op != CHECKPOINT_MARKER_OP for record in reopened)
-    assert reopened.records_since(reopened.base_seq) == reopened.records()
+    log = (
+        legacy_frame(1, "add_node", payload={"id": "a"})
+        + legacy_frame(2, "checkpoint", graph="")
+        + legacy_frame(3, "add_node", payload={"id": "b"})
+    )
+    (tmp_path / "wal.jsonl").write_bytes(log)
+    parsed = read(tmp_path)
+    assert [record.op for record in parsed.records] == ["add_node", "add_node"]
+    assert parsed.next_seq == 4

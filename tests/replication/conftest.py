@@ -109,6 +109,6 @@ def graph_state(graph: PropertyGraph):
 @pytest.fixture
 def leader_store(tmp_path):
     """A writable sqlite store root for one leader."""
-    store = GraphStore(tmp_path / "tenant", engine="sqlite")
+    store = GraphStore(tmp_path / "tenant")
     yield store
     store.storage.close()

@@ -38,7 +38,7 @@ from repro.store.engine import GraphStore
 
 root, iterations = sys.argv[1], int(sys.argv[2])
 for _ in range(iterations):
-    store = GraphStore(root, engine="sqlite", read_only=True)
+    store = GraphStore(root, read_only=True)
     log = DeltaLog(root, read_only=True)
     try:
         for name in store.graph_names():
@@ -69,7 +69,7 @@ print("reader-ok")
 @pytest.mark.slow
 def test_n_reader_processes_race_one_writer(tmp_path):
     root = tmp_path / "tenant"
-    store = GraphStore(root, engine="sqlite")
+    store = GraphStore(root)
     graph, _policy, _consumer = random_family(seed=5)
     service = ProtectionService(None, ReleasePolicy(PrivilegeLattice()), store=store)
     publisher = ReplicationPublisher(service)
@@ -109,14 +109,14 @@ def test_n_reader_processes_race_one_writer(tmp_path):
 def test_read_only_registry_relaxes_one_process_per_root(tmp_path):
     """Two read-only registries + the writer share a root, in one process
     here (the cross-process variant is the subprocess test above)."""
-    writer = ServiceRegistry(tmp_path, store_engine="sqlite")
+    writer = ServiceRegistry(tmp_path)
     writer.register("acme")
     writer_store = writer.store_for("acme")
     graph, policy, consumer = random_family(seed=6)
     writer_store.put_graph(graph, name="main")
 
     followers = [
-        ServiceRegistry(tmp_path, store_engine="sqlite", read_only=True)
+        ServiceRegistry(tmp_path, read_only=True)
         for _ in range(2)
     ]
     try:

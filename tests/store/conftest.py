@@ -1,47 +1,63 @@
-"""Engine parameterization for the store contract suite.
+"""Factories for the store contract suite.
 
-Every test that takes ``make_store`` / ``make_storage`` runs once per
-storage backend (the JSON file engine and the SQLite engine) with a single
-body — the fixtures are the only place the engine name appears.  The
-factories accept an optional directory: ``None`` builds an in-memory
+The factories accept an optional directory: ``None`` builds an in-memory
 store, a path builds a durable one, and calling the factory again with the
-same path reopens it (the recovery path).
+same path reopens it (the recovery path).  The ``legacy_*`` helpers write
+roots in the layout of the retired JSON file engine, for the import tests.
 """
+
+import json
+import zlib
 
 import pytest
 
-from repro.store.engine import STORE_ENGINES, GraphStore
-
-
-@pytest.fixture(params=STORE_ENGINES)
-def store_engine(request):
-    """The storage backend under test: ``"file"`` or ``"sqlite"``."""
-    return request.param
+from repro.graph.serialization import graph_to_json
+from repro.store.engine import GraphStore
+from repro.store.sqlite import SQLiteGraphStorage
 
 
 @pytest.fixture
-def make_store(store_engine):
-    """Factory for :class:`GraphStore` instances on the current engine."""
+def make_store():
+    """Factory for :class:`GraphStore` instances."""
 
     def factory(directory=None, **kwargs):
-        return GraphStore(directory, engine=store_engine, **kwargs)
+        return GraphStore(directory, **kwargs)
 
-    factory.engine = store_engine
     return factory
 
 
 @pytest.fixture
-def make_storage(store_engine):
-    """Factory for raw storage backends on the current engine."""
+def make_storage():
+    """Factory for raw :class:`SQLiteGraphStorage` backends."""
 
     def factory(directory=None, **kwargs):
-        if store_engine == "sqlite":
-            from repro.store.sqlite import SQLiteGraphStorage
+        return SQLiteGraphStorage(directory, **kwargs)
 
-            return SQLiteGraphStorage(directory, **kwargs)
-        from repro.store.storage import GraphStorage
-
-        return GraphStorage(directory, **kwargs)
-
-    factory.engine = store_engine
     return factory
+
+
+def legacy_frame(seq, op, graph="g", payload=None):
+    """One ``W1 <length> <crc32> <json>`` line as the file engine framed it."""
+    body = json.dumps(
+        {"seq": seq, "op": op, "graph": graph, "payload": payload or {}}, sort_keys=True
+    ).encode("utf-8")
+    return b"W1 %d %08x " % (len(body), zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
+
+
+def write_legacy_root(root, graphs=(), *, catalog=None, log=b""):
+    """A store root in the retired file engine's layout.
+
+    One ``<name>.graph.json`` snapshot per graph, ``catalog.json`` (default:
+    one plain descriptor per graph) and ``wal.jsonl`` when ``log`` is given.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    for graph in graphs:
+        (root / f"{graph.name}.graph.json").write_text(graph_to_json(graph))
+    if catalog is None:
+        catalog = {
+            graph.name: {"kind": "graph", "description": "", "metadata": {}} for graph in graphs
+        }
+    (root / "catalog.json").write_text(json.dumps(catalog, indent=2))
+    if log:
+        (root / "wal.jsonl").write_bytes(log)
+    return root

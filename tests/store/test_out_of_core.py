@@ -106,7 +106,6 @@ class TestOutOfCore:
     def test_engine_wrapper_respects_paging_options(self, big_store, tmp_path):
         store = GraphStore(
             tmp_path,
-            engine="sqlite",
             page_cache_pages=PAGE_CACHE_PAGES,
             page_rows=PAGE_ROWS,
         )
@@ -116,7 +115,6 @@ class TestOutOfCore:
         store.checkpoint()
         reopened = GraphStore(
             tmp_path,
-            engine="sqlite",
             page_cache_pages=PAGE_CACHE_PAGES,
             page_rows=PAGE_ROWS,
         )

@@ -1,9 +1,9 @@
-"""SQLite-engine specifics the file engine has no counterpart for.
+"""SQLite specifics: search, listings, quarantine, the write log, paging.
 
-The cross-engine contract lives in ``test_storage_engine.py``; this module
-covers what only the relational backend provides: the FTS search index,
-the materialized account listing, the legacy-file migration reader, the
-database quarantine path, the table-backed write log and the paged loader.
+The storage contract lives in ``test_storage_engine.py`` and the import of
+legacy file-engine roots in ``test_legacy_import.py``; this module covers
+the FTS search index, the materialized account listing, the database
+quarantine path, the table-backed write log and the paged loader.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.store.sqlite import (
     SQLiteWriteLog,
     ensure_schema,
 )
-from repro.store.storage import GraphStorage
 
 
 def _db(storage):
@@ -62,10 +61,11 @@ class TestSQLiteWriteLog:
         assert reopened.next_seq == 5
         assert reopened.records_since(3)[0].payload["id"] == "b"
 
-    def test_no_torn_bytes_ever(self):
-        _, wal = self._fresh()
+    def test_recovery_info_counts_the_records_found_at_open(self):
+        db, wal = self._fresh()
         wal.append("create_graph", "g")
-        assert wal.recovery_info.torn_bytes_truncated == 0
+        wal.append("add_node", "g", {"id": "a"})
+        assert SQLiteWriteLog(db, io=StorageIO()).recovery_info.as_dict() == {"records": 2}
 
 
 class TestDatabase:
@@ -104,7 +104,7 @@ class TestFullTextSearch:
         assert storage.search_nodes("docs", "review") == {"c"}
 
     def test_search_tracks_feature_edits(self):
-        store = GraphStore(engine="sqlite")
+        store = GraphStore()
         store.create_graph("g")
         store.add_node("g", "a", features={"name": "before"})
         assert store.search_nodes("g", "before") == {"a"}
@@ -119,7 +119,7 @@ class TestFullTextSearch:
 
 class TestAccountListing:
     def test_listing_materialized_from_catalog(self, tmp_path):
-        store = GraphStore(tmp_path, engine="sqlite", tenant="acme")
+        store = GraphStore(tmp_path, tenant="acme")
         account_graph = GraphBuilder("alice-account").chain(["a", "b", "c"]).build()
         store.put_graph(account_graph, name="alice-account")
         descriptor = store.storage.catalog.get("alice-account")
@@ -156,7 +156,7 @@ class TestAccountListing:
         assert markings == [("surrogate_edge", 2), ("surrogate_node", 1)]
 
     def test_drop_graph_clears_account_rows(self, tmp_path):
-        store = GraphStore(tmp_path, engine="sqlite")
+        store = GraphStore(tmp_path)
         store.put_graph(GraphBuilder("acct").chain(["a", "b"]).build(), name="acct")
         descriptor = store.storage.catalog.get("acct")
         descriptor.kind = "protected_account"
@@ -167,45 +167,6 @@ class TestAccountListing:
         assert len(store.list_accounts()) == 1
         store.drop_graph("acct")
         assert store.list_accounts() == []
-
-
-class TestLegacyMigration:
-    def _legacy_store(self, root):
-        legacy = GraphStorage(root)
-        graph = legacy.create_graph("lg", kind="provenance", description="old store")
-        legacy.log("add_edge", "lg", {"source": "x", "target": "y"})
-        graph.add_edge("x", "y", create_nodes=True)
-        legacy.checkpoint()
-        legacy.log("add_edge", "lg", {"source": "y", "target": "z"})
-        graph.add_edge("y", "z", create_nodes=True)
-        return legacy
-
-    def test_file_store_imports_on_first_sqlite_open(self, tmp_path):
-        legacy = self._legacy_store(tmp_path)
-        seq_before = legacy.wal.next_seq
-        storage = SQLiteGraphStorage(tmp_path)
-        assert storage.recovery_report.migrated_graphs == 1
-        assert storage.graph("lg").edge_count() == 2
-        assert storage.catalog.get("lg").kind == "provenance"
-        # The W1 log's tail was replayed by the compatibility reader and the
-        # sequence counter carries over, keeping checkpoint stamps comparable.
-        assert storage.wal.next_seq >= seq_before
-        # Interval reachability works immediately on migrated rows.
-        assert storage.sql_lineage("lg", "x", direction="descendants") == {"y", "z"}
-
-    def test_second_open_does_not_remigrate(self, tmp_path):
-        self._legacy_store(tmp_path)
-        first = SQLiteGraphStorage(tmp_path)
-        first.db.close()
-        second = SQLiteGraphStorage(tmp_path)
-        assert second.recovery_report.migrated_graphs == 0
-        assert second.graph("lg").edge_count() == 2
-
-    def test_migration_leaves_legacy_files_in_place(self, tmp_path):
-        self._legacy_store(tmp_path)
-        SQLiteGraphStorage(tmp_path)
-        assert (tmp_path / "wal.jsonl").exists()
-        assert list(tmp_path.glob("*.graph.json"))
 
 
 class TestQuarantine:
@@ -254,13 +215,9 @@ class TestPagedLoading:
         assert reopened.paging.pages_fetched >= 10
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(StoreError):
-            GraphStore(engine="parquet")
-
-    def test_sqlite_store_uses_one_database_file(self, tmp_path):
-        store = GraphStore(tmp_path, engine="sqlite")
+class TestOneDatabase:
+    def test_store_uses_one_database_file(self, tmp_path):
+        store = GraphStore(tmp_path)
         store.create_graph("g")
         store.add_node("g", "a")
         store.checkpoint()
@@ -275,11 +232,11 @@ class TestEngineSelection:
         raw.close()
         assert {"graphs", "nodes", "edges", "wal_log", "intervals"} <= tables
 
-    def test_registry_respects_store_engine(self, tmp_path):
+    def test_registry_tenant_stores_are_databases(self, tmp_path):
         from repro.api.registry import ServiceRegistry
 
-        registry = ServiceRegistry(tmp_path, store_engine="sqlite")
+        registry = ServiceRegistry(tmp_path)
         registry.register("acme")
-        health = registry.store_for("acme").health()
-        assert health["engine"] == "sqlite"
-        assert health["tenant"] == "acme"
+        store = registry.store_for("acme")
+        assert store.health()["tenant"] == "acme"
+        assert (store.storage.directory / DATABASE_NAME).exists()

@@ -1,19 +1,15 @@
-"""The storage contract suite: one body per behavior, run on every engine.
+"""The storage contract suite: one body per behavior, in memory and durable.
 
 Each test receives the ``make_store`` / ``make_storage`` factories from
-``conftest.py`` and therefore runs twice — once on the JSON file engine and
-once on the SQLite engine.  The bodies never branch on the engine: anything
-the two backends genuinely cannot share (FTS search syntax, the migration
-reader, quarantine file layout) lives in ``test_sqlite_store.py`` instead.
+``conftest.py``.  SQLite specifics (FTS search syntax, quarantine file
+layout, paging) live in ``test_sqlite_store.py``, and the import of legacy
+file-engine roots in ``test_legacy_import.py``.
 """
-
-import json
 
 import pytest
 
 from repro.exceptions import CatalogError, StoreError, TransactionError
 from repro.store.engine import PhaseTimer
-from repro.store.storage import GraphStorage
 
 
 class TestStorageContract:
@@ -214,15 +210,30 @@ class TestGraphStoreEngine:
         assert "a" in store.search_nodes("g", "person")
         assert store.search_nodes("g", "nomatch") == set()
 
-    def test_health_reports_engine(self, make_store):
+    def test_health_of_an_in_memory_store(self, make_store):
         store = make_store()
         health = store.health()
-        assert health["engine"] == make_store.engine
+        assert "engine" not in health
         assert health["durable"] is False
         assert health["recovery"]["clean"] is True
 
     def test_list_accounts_empty(self, make_store):
         assert make_store().list_accounts() == []
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_list_accounts_sees_a_persisted_account(
+        self, make_store, tmp_path, figure2b, durable
+    ):
+        from repro.api import ProtectionService, persist_account
+
+        store = make_store(tmp_path if durable else None, tenant="acme")
+        service = ProtectionService(figure2b.graph, figure2b.policy)
+        account = service.protect(privilege=figure2b.high2).account
+        persist_account(store, account, "fig2b")
+        [entry] = store.list_accounts()
+        assert entry["name"] == "fig2b"
+        assert entry["tenant"] == "acme"
+        assert entry["nodes"] == account.graph.node_count()
 
 
 class TestTransactions:
@@ -305,63 +316,6 @@ class TestPhaseTimer:
         assert timer.as_dict()["total"] >= 7.5
         timer.reset()
         assert timer.total_ms() == 0.0
-
-
-def _append_row(table, row):
-    def corrupt(path):
-        payload = json.loads(path.read_text())
-        payload[table].append(row)
-        path.write_text(json.dumps(payload))
-
-    return corrupt
-
-
-def _prepend_non_utf8_byte(path):
-    path.write_bytes(b"\xff" + path.read_bytes())
-
-
-class TestSnapshotRecovery:
-    """A snapshot that does not decode to a valid graph is quarantined.
-
-    The snapshots are written in the file engine's layout; the SQLite
-    engine reads such a root through its legacy-migration reader, so both
-    engines run the same recovery over them.
-    """
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            _append_row("edges", {"source": "a", "target": "a", "label": None, "features": {}}),
-            _append_row("edges", {"source": "a", "target": "ghost", "label": None, "features": {}}),
-            _append_row("nodes", {"kind": "data"}),
-            _append_row("nodes", {"id": "f", "features": ["x"]}),
-            _prepend_non_utf8_byte,
-        ],
-        ids=["self-loop", "dangling-endpoint", "node-without-id", "list-features", "not-utf8"],
-    )
-    def test_invalid_snapshot_is_quarantined_and_siblings_load(
-        self, make_storage, tmp_path, small_graph, corrupt
-    ):
-        legacy = GraphStorage(tmp_path)
-        legacy.put_graph(small_graph, name="good")
-        legacy.put_graph(small_graph, name="bad")
-        bad = legacy._snapshot_path("bad")
-        corrupt(bad)
-
-        reopened = make_storage(tmp_path)
-        assert bad.name in reopened.recovery_report.quarantined
-        assert list(tmp_path.glob(f"{bad.name}.corrupt*"))
-        assert reopened.graph("good") == small_graph
-        assert not reopened.has_graph("bad")
-
-    def test_catalog_that_is_not_text_is_quarantined(self, make_storage, tmp_path, small_graph):
-        legacy = GraphStorage(tmp_path)
-        legacy.put_graph(small_graph, name="good")
-        _prepend_non_utf8_byte(tmp_path / "catalog.json")
-
-        reopened = make_storage(tmp_path)
-        assert "catalog.json" in reopened.recovery_report.quarantined
-        assert reopened.graph("good") == small_graph
 
 
 class TestStoreQueries:

@@ -1,56 +1,14 @@
-"""Unit tests for the write log, catalog and indexes of the embedded store."""
+"""Unit tests for the catalog and indexes of the embedded store.
+
+The write log's own tests live in ``test_sqlite_store.py``.
+"""
 
 import pytest
 
-from repro.exceptions import CatalogError, StoreError
+from repro.exceptions import CatalogError
 from repro.graph.builders import graph_from_edges
 from repro.store.catalog import Catalog
 from repro.store.index import FeatureIndex
-from repro.store.wal import LogRecord, WriteAheadLog
-
-
-class TestWriteAheadLog:
-    def test_in_memory_append_and_sequence(self):
-        wal = WriteAheadLog()
-        first = wal.append("create_graph", "g")
-        second = wal.append("add_node", "g", {"id": "a"})
-        assert first.seq == 1 and second.seq == 2
-        assert len(wal) == 2
-        assert [record.op for record in wal] == ["create_graph", "add_node"]
-
-    def test_unknown_operation_rejected(self):
-        wal = WriteAheadLog()
-        with pytest.raises(StoreError):
-            wal.append("truncate_table", "g")
-
-    def test_file_backed_round_trip(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path)
-        wal.append("create_graph", "g")
-        wal.append("add_edge", "g", {"source": "a", "target": "b"})
-        reopened = WriteAheadLog(path)
-        assert len(reopened) == 2
-        assert reopened.records()[1].payload["target"] == "b"
-        # New appends continue the sequence.
-        assert reopened.append("add_node", "g", {"id": "c"}).seq == 3
-
-    def test_truncate(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path)
-        wal.append("create_graph", "g")
-        wal.truncate()
-        assert len(wal) == 0
-        assert WriteAheadLog(path).records() == []
-
-    def test_corrupt_line_detected(self):
-        with pytest.raises(StoreError):
-            LogRecord.from_json("{not json")
-        with pytest.raises(StoreError):
-            LogRecord.from_json('{"seq": 1, "op": "add_node"}')
-
-    def test_record_json_round_trip(self):
-        record = LogRecord(seq=5, op="add_node", graph="g", payload={"id": "a"})
-        assert LogRecord.from_json(record.to_json()) == record
 
 
 class TestCatalog:
