@@ -277,7 +277,7 @@ class GraphStore:
             "wal": {
                 "records": len(self.storage.wal),
                 "next_seq": self.storage.wal.next_seq,
-                **self.storage.wal.recovery_info.as_dict(),
+                "records_at_open": self.storage.wal.recovery_info.records,
             },
             "recovery": report.as_dict(),
             "retry": getattr(self.retry, "stats", lambda: None)(),

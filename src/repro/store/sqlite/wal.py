@@ -55,9 +55,6 @@ class WalRecoveryInfo:
 
     records: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"records": self.records}
-
 
 def write_base_seq(db: Database, base_seq: int) -> None:
     """Persist the log's ``base_seq`` (inside the caller's transaction)."""

@@ -9,6 +9,8 @@ imported store must continue the log's sequence.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import CorruptionError, StoreError
@@ -109,6 +111,44 @@ def test_corrupt_line_detected():
         parse_line(b"{not json")
     with pytest.raises(StoreError):
         parse_line(b'{"seq": 1, "op": "add_node"}')
+
+
+def bare_line(seq, op, payload):
+    """One unframed JSON line, as the file engine wrote before framing."""
+    record = {"graph": "g", "op": op, "payload": payload, "seq": seq}
+    return json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def test_torn_bare_json_tail_imports_the_intact_prefix(tmp_path):
+    """An unframed last line cut anywhere is a torn tail, like a frame."""
+    first = bare_line(1, "add_node", {"id": "n0"})
+    last = bare_line(2, "add_node", {"id": "n1"})
+    # Every prefix of the last line short of the bare newline cut.
+    for cut in range(len(last) - 1):
+        torn = first + last[:cut]
+        (tmp_path / "wal.jsonl").write_bytes(torn)
+        log = read(tmp_path)
+        assert [r.payload["id"] for r in log.records] == ["n0"]
+        assert log.torn_bytes == cut
+        assert log.next_seq == 2
+        assert (tmp_path / "wal.jsonl").read_bytes() == torn
+
+
+def test_bare_lines_then_frames_import_in_order(tmp_path):
+    """A log begun before framing and appended to after it replays whole."""
+    log = (
+        bare_line(1, "create_graph", {})
+        + bare_line(2, "add_node", {"id": "old", "kind": None, "features": {}})
+        + legacy_frame(3, "add_node", payload={"id": "new", "kind": None, "features": {}})
+        + legacy_frame(4, "add_edge", payload={"source": "old", "target": "new"})
+    )
+    write_legacy_root(tmp_path, log=log)
+    store = GraphStore(tmp_path)
+    graph = store.graph("g")
+    assert graph.node_ids() == ["old", "new"]
+    assert graph.has_edge("old", "new")
+    assert store.storage.wal.next_seq == 5
+    assert (tmp_path / "wal.jsonl").read_bytes() == log
 
 
 def test_legacy_bare_json_lines_still_replay(tmp_path):

@@ -1,9 +1,12 @@
 """Factories for the store contract suite.
 
-The factories accept an optional directory: ``None`` builds an in-memory
-store, a path builds a durable one, and calling the factory again with the
-same path reopens it (the recovery path).  The ``legacy_*`` helpers write
-roots in the layout of the retired JSON file engine, for the import tests.
+The factories accept an optional directory: a path builds a durable store,
+and calling the factory again with the same path reopens it (the recovery
+path).  Without a directory the store's placement decides: an in-memory
+(``:memory:``) database by default, or a fresh directory of its own under
+:data:`in_memory_and_durable`, which runs a test once per placement.  The
+``legacy_*`` helpers write roots in the layout of the retired JSON file
+engine, for the import tests.
 """
 
 import json
@@ -16,22 +19,44 @@ from repro.store.engine import GraphStore
 from repro.store.sqlite import SQLiteGraphStorage
 
 
+PLACEMENTS = ("memory", "durable")
+
+#: Run a test once on in-memory stores and once on durable ones.
+in_memory_and_durable = pytest.mark.parametrize("placement", PLACEMENTS, indirect=True)
+
+
 @pytest.fixture
-def make_store():
+def placement(request):
+    """Where a factory call without a directory puts its store."""
+    return getattr(request, "param", "memory")
+
+
+@pytest.fixture
+def fresh_directory(placement, tmp_path_factory):
+    """``None`` in memory; a new directory per call when durable."""
+
+    def directory():
+        return tmp_path_factory.mktemp("store") if placement == "durable" else None
+
+    return directory
+
+
+@pytest.fixture
+def make_store(fresh_directory):
     """Factory for :class:`GraphStore` instances."""
 
     def factory(directory=None, **kwargs):
-        return GraphStore(directory, **kwargs)
+        return GraphStore(directory or fresh_directory(), **kwargs)
 
     return factory
 
 
 @pytest.fixture
-def make_storage():
+def make_storage(fresh_directory):
     """Factory for raw :class:`SQLiteGraphStorage` backends."""
 
     def factory(directory=None, **kwargs):
-        return SQLiteGraphStorage(directory, **kwargs)
+        return SQLiteGraphStorage(directory or fresh_directory(), **kwargs)
 
     return factory
 

@@ -6,6 +6,7 @@ the FTS search index, the materialized account listing, the database
 quarantine path, the table-backed write log and the paged loader.
 """
 
+import gc
 import json
 import sqlite3
 
@@ -24,32 +25,40 @@ from repro.store.sqlite import (
     ensure_schema,
 )
 
+from tests.store.conftest import in_memory_and_durable
+
 
 def _db(storage):
     return storage.db
 
 
-class TestSQLiteWriteLog:
-    def _fresh(self):
-        db = Database(":memory:", io=StorageIO())
-        ensure_schema(db)
-        return db, SQLiteWriteLog(db, io=StorageIO())
+@pytest.fixture
+def fresh_log(placement, tmp_path):
+    """An empty write log over a ``:memory:`` or an on-disk database."""
+    db = Database(
+        ":memory:" if placement == "memory" else tmp_path / DATABASE_NAME, io=StorageIO()
+    )
+    ensure_schema(db)
+    return db, SQLiteWriteLog(db, io=StorageIO())
 
-    def test_append_and_sequence(self):
-        _, wal = self._fresh()
+
+@in_memory_and_durable
+class TestSQLiteWriteLog:
+    def test_append_and_sequence(self, fresh_log):
+        _, wal = fresh_log
         first = wal.append("create_graph", "g")
         second = wal.append("add_node", "g", {"id": "a"})
         assert first.seq == 1 and second.seq == 2
         assert len(wal) == 2
         assert [record.op for record in wal] == ["create_graph", "add_node"]
 
-    def test_unknown_operation_rejected(self):
-        _, wal = self._fresh()
+    def test_unknown_operation_rejected(self, fresh_log):
+        _, wal = fresh_log
         with pytest.raises(StoreError):
             wal.append("truncate_table", "g")
 
-    def test_truncate_preserves_sequence(self):
-        db, wal = self._fresh()
+    def test_truncate_preserves_sequence(self, fresh_log):
+        db, wal = fresh_log
         wal.append("create_graph", "g")
         wal.append("add_node", "g", {"id": "a"})
         wal.truncate()
@@ -61,11 +70,11 @@ class TestSQLiteWriteLog:
         assert reopened.next_seq == 5
         assert reopened.records_since(3)[0].payload["id"] == "b"
 
-    def test_recovery_info_counts_the_records_found_at_open(self):
-        db, wal = self._fresh()
+    def test_recovery_info_counts_the_records_found_at_open(self, fresh_log):
+        db, wal = fresh_log
         wal.append("create_graph", "g")
         wal.append("add_node", "g", {"id": "a"})
-        assert SQLiteWriteLog(db, io=StorageIO()).recovery_info.as_dict() == {"records": 2}
+        assert SQLiteWriteLog(db, io=StorageIO()).recovery_info.records == 2
 
 
 class TestDatabase:
@@ -86,8 +95,9 @@ class TestDatabase:
 
 
 class TestFullTextSearch:
-    def test_fts_match_queries(self):
-        storage = SQLiteGraphStorage()
+    @in_memory_and_durable
+    def test_fts_match_queries(self, make_storage):
+        storage = make_storage()
         if not storage.db.fts_enabled:
             pytest.skip("sqlite built without FTS5")
         graph = (
@@ -103,8 +113,9 @@ class TestFullTextSearch:
         assert storage.search_nodes("docs", "provenance AND security") == {"a"}
         assert storage.search_nodes("docs", "review") == {"c"}
 
-    def test_search_tracks_feature_edits(self):
-        store = GraphStore()
+    @in_memory_and_durable
+    def test_search_tracks_feature_edits(self, make_store):
+        store = make_store()
         store.create_graph("g")
         store.add_node("g", "a", features={"name": "before"})
         assert store.search_nodes("g", "before") == {"a"}
@@ -117,9 +128,10 @@ class TestFullTextSearch:
             SQLiteGraphStorage().search_nodes("nope", "term")
 
 
+@in_memory_and_durable
 class TestAccountListing:
-    def test_listing_materialized_from_catalog(self, tmp_path):
-        store = GraphStore(tmp_path, tenant="acme")
+    def test_listing_materialized_from_catalog(self, make_store):
+        store = make_store(tenant="acme")
         account_graph = GraphBuilder("alice-account").chain(["a", "b", "c"]).build()
         store.put_graph(account_graph, name="alice-account")
         descriptor = store.storage.catalog.get("alice-account")
@@ -155,8 +167,8 @@ class TestAccountListing:
         ).fetchall()
         assert markings == [("surrogate_edge", 2), ("surrogate_node", 1)]
 
-    def test_drop_graph_clears_account_rows(self, tmp_path):
-        store = GraphStore(tmp_path)
+    def test_drop_graph_clears_account_rows(self, make_store):
+        store = make_store()
         store.put_graph(GraphBuilder("acct").chain(["a", "b"]).build(), name="acct")
         descriptor = store.storage.catalog.get("acct")
         descriptor.kind = "protected_account"
@@ -215,6 +227,47 @@ class TestPagedLoading:
         assert reopened.paging.pages_fetched >= 10
 
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["a", "b", "c"],
+            [3, 1, 2],
+            ["1", 1, "01", 10],
+            ["\u00fcml\u00e4ut", "\u4e2d\u6587", "smile \U0001F600"],
+            ['say "hi"', "back\\slash", "tab\tid", "new\nline"],
+        ],
+        ids=["plain", "ints", "numeric-strings", "unicode", "escapes"],
+    )
+    def test_every_id_kind_survives_a_reload(self, tmp_path, ids):
+        """Ids are encoded and decoded once each per snapshot; none may merge."""
+        graph = PropertyGraph(name="g")
+        for node_id in ids:
+            graph.add_node(node_id, features={"label": str(node_id)})
+        for source, target in zip(ids, ids[1:]):
+            graph.add_edge(source, target, features={"w": 1})
+        graph.add_edge(ids[-1], ids[0])
+        storage = SQLiteGraphStorage(tmp_path)
+        storage.put_graph(graph)
+        storage.checkpoint()
+        storage.db.close()
+        loaded = SQLiteGraphStorage(tmp_path).graph("g")
+        assert loaded == graph
+        assert loaded.node_ids() == ids
+        assert [type(node_id) for node_id in loaded.node_ids()] == [type(node_id) for node_id in ids]
+        assert loaded.edge_keys() == graph.edge_keys()
+
+    def test_empty_features_load_as_separate_dicts(self, tmp_path):
+        storage = SQLiteGraphStorage(tmp_path)
+        storage.put_graph(GraphBuilder("g").chain(["a", "b", "c"]).build(), name="g")
+        storage.checkpoint()
+        storage.db.close()
+        loaded = SQLiteGraphStorage(tmp_path).graph("g")
+        loaded.node("a").features["touched"] = True
+        loaded.edge("a", "b").features["touched"] = True
+        assert [loaded.node(node).features for node in "bc"] == [{}, {}]
+        assert loaded.edge("b", "c").features == {}
+
+
 class TestOneDatabase:
     def test_store_uses_one_database_file(self, tmp_path):
         store = GraphStore(tmp_path)
@@ -231,6 +284,21 @@ class TestOneDatabase:
         }
         raw.close()
         assert {"graphs", "nodes", "edges", "wal_log", "intervals"} <= tables
+
+    def test_a_dropped_store_closes_its_connection(self, tmp_path):
+        """Freeing a store closes its database without a full collection."""
+        sidecars = [tmp_path / f"{DATABASE_NAME}-wal", tmp_path / f"{DATABASE_NAME}-shm"]
+        store = GraphStore(tmp_path)
+        store.create_graph("g")
+        store.add_node("g", "a")
+        assert all(path.exists() for path in sidecars)
+        gc.disable()
+        try:
+            store = None
+            assert not any(path.exists() for path in sidecars)
+        finally:
+            gc.enable()
+        assert GraphStore(tmp_path).graph("g").node_ids() == ["a"]
 
     def test_registry_tenant_stores_are_databases(self, tmp_path):
         from repro.api.registry import ServiceRegistry

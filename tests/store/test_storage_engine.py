@@ -11,21 +11,26 @@ import pytest
 from repro.exceptions import CatalogError, StoreError, TransactionError
 from repro.store.engine import PhaseTimer
 
+from tests.store.conftest import in_memory_and_durable
+
 
 class TestStorageContract:
-    def test_create_and_fetch(self, make_storage):
+    @in_memory_and_durable
+    def test_create_and_fetch(self, make_storage, placement):
         storage = make_storage()
         storage.create_graph("g")
         assert storage.has_graph("g")
         assert storage.names() == ["g"]
         assert storage.graph("g").node_count() == 0
-        assert not storage.durable
+        assert storage.durable is (placement == "durable")
 
+    @in_memory_and_durable
     def test_missing_graph_raises(self, make_storage):
         storage = make_storage()
         with pytest.raises(CatalogError):
             storage.graph("nope")
 
+    @in_memory_and_durable
     def test_put_graph_and_export_import(self, make_storage, small_graph):
         storage = make_storage()
         storage.put_graph(small_graph, name="snapshot")
@@ -34,6 +39,7 @@ class TestStorageContract:
         other.import_graph(payload, name="copy")
         assert other.graph("copy").edge_count() == small_graph.edge_count()
 
+    @in_memory_and_durable
     def test_unnamed_graph_rejected(self, make_storage):
         from repro.graph.model import PropertyGraph
 
@@ -41,12 +47,14 @@ class TestStorageContract:
         with pytest.raises(StoreError):
             storage.put_graph(PropertyGraph())
 
+    @in_memory_and_durable
     def test_duplicate_create_rejected(self, make_storage):
         storage = make_storage()
         storage.create_graph("g")
         with pytest.raises(CatalogError):
             storage.create_graph("g")
 
+    @in_memory_and_durable
     def test_drop_missing_graph_rejected(self, make_storage):
         storage = make_storage()
         with pytest.raises(CatalogError):
@@ -115,6 +123,7 @@ class TestStorageContract:
 
 
 class TestGraphStoreEngine:
+    @in_memory_and_durable
     def test_mutations_and_indexed_queries(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -131,6 +140,7 @@ class TestGraphStoreEngine:
         with pytest.raises(ValueError):
             store.lineage("g", "a", direction="sideways")
 
+    @in_memory_and_durable
     def test_graph_returns_a_copy(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -139,6 +149,7 @@ class TestGraphStoreEngine:
         copy.add_node("intruder")
         assert not store.graph("g").has_node("intruder")
 
+    @in_memory_and_durable
     def test_remove_operations_update_indexes(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -150,6 +161,7 @@ class TestGraphStoreEngine:
         store.remove_node("g", "b")
         assert not store.graph("g").has_node("b")
 
+    @in_memory_and_durable
     def test_set_node_features_reindexes(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -158,6 +170,7 @@ class TestGraphStoreEngine:
         assert store.find_nodes("g", "role", "person") == set()
         assert store.find_nodes("g", "role", "robot") == {"a"}
 
+    @in_memory_and_durable
     def test_put_and_drop_graph(self, make_store, small_graph):
         store = make_store()
         store.put_graph(small_graph, name="demo")
@@ -174,6 +187,7 @@ class TestGraphStoreEngine:
         assert not reopened.has_graph("demo")
         assert reopened.graph_names() == []
 
+    @in_memory_and_durable
     def test_stats_accumulate(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -186,6 +200,7 @@ class TestGraphStoreEngine:
         assert store.stats.queries_answered == 1
         assert store.stats.as_dict()["nodes_written"] == 2
 
+    @in_memory_and_durable
     def test_lineage_after_structural_edits(self, make_store):
         """Lineage answers track edits on every engine (interval re-encode)."""
         store = make_store()
@@ -201,6 +216,7 @@ class TestGraphStoreEngine:
         assert store.lineage("g", "a", direction="descendants") == {"b"}
         assert store.lineage("g", "d", direction="ancestors") == {"c"}
 
+    @in_memory_and_durable
     def test_search_nodes_single_term(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -217,16 +233,36 @@ class TestGraphStoreEngine:
         assert health["durable"] is False
         assert health["recovery"]["clean"] is True
 
+    @in_memory_and_durable
     def test_list_accounts_empty(self, make_store):
         assert make_store().list_accounts() == []
 
-    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
-    def test_list_accounts_sees_a_persisted_account(
-        self, make_store, tmp_path, figure2b, durable
-    ):
+    @in_memory_and_durable
+    def test_health_counts_the_live_write_log(self, make_store):
+        store = make_store()
+        store.create_graph("g")
+        for node in "abc":
+            store.add_node("g", node)
+        wal = store.health()["wal"]
+        assert wal["records"] == len(store.storage.wal) == 4
+        assert wal["next_seq"] == 5
+        assert wal["records_at_open"] == 0
+
+    def test_health_reports_the_records_found_at_reopen(self, make_store, tmp_path):
+        store = make_store(tmp_path)
+        store.create_graph("g")
+        store.add_node("g", "a")
+        reopened = make_store(tmp_path)
+        reopened.add_node("g", "b")
+        wal = reopened.health()["wal"]
+        assert wal["records_at_open"] == 2
+        assert wal["records"] == 3
+
+    @in_memory_and_durable
+    def test_list_accounts_sees_a_persisted_account(self, make_store, figure2b):
         from repro.api import ProtectionService, persist_account
 
-        store = make_store(tmp_path if durable else None, tenant="acme")
+        store = make_store(tenant="acme")
         service = ProtectionService(figure2b.graph, figure2b.policy)
         account = service.protect(privilege=figure2b.high2).account
         persist_account(store, account, "fig2b")
@@ -237,6 +273,7 @@ class TestGraphStoreEngine:
 
 
 class TestTransactions:
+    @in_memory_and_durable
     def test_commit_applies_all_operations(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -246,6 +283,7 @@ class TestTransactions:
         assert graph.has_edge("a", "b")
         assert store.stats.transactions_committed == 1
 
+    @in_memory_and_durable
     def test_rollback_discards_buffer(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -256,6 +294,7 @@ class TestTransactions:
         with pytest.raises(TransactionError):
             txn.commit()
 
+    @in_memory_and_durable
     def test_failed_batch_leaves_graph_untouched(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -269,6 +308,7 @@ class TestTransactions:
         assert not graph.has_node("new_node")
         assert graph.has_node("existing")
 
+    @in_memory_and_durable
     def test_exception_inside_context_rolls_back(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -278,11 +318,13 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert not store.graph("g").has_node("a")
 
+    @in_memory_and_durable
     def test_transaction_on_missing_graph_rejected(self, make_store):
         store = make_store()
         with pytest.raises(StoreError):
             store.transaction("nope")
 
+    @in_memory_and_durable
     def test_transactional_set_features_and_removals(self, make_store):
         store = make_store()
         store.create_graph("g")
@@ -319,6 +361,7 @@ class TestPhaseTimer:
 
 
 class TestStoreQueries:
+    @in_memory_and_durable
     def test_adjacency_of_an_unknown_node_is_empty(self, make_store, small_graph):
         store = make_store()
         store.put_graph(small_graph, name="demo")

@@ -1,6 +1,7 @@
-"""Unit tests for the catalog and indexes of the embedded store.
+"""Unit tests for the write log, catalog and indexes of the embedded store.
 
-The write log's own tests live in ``test_sqlite_store.py``.
+The write log's tests here reopen its database file; its behaviour within
+one open database is in ``test_sqlite_store.py``.
 """
 
 import pytest
@@ -9,6 +10,53 @@ from repro.exceptions import CatalogError
 from repro.graph.builders import graph_from_edges
 from repro.store.catalog import Catalog
 from repro.store.index import FeatureIndex
+from repro.store.io import StorageIO
+from repro.store.sqlite import DATABASE_NAME, Database, SQLiteWriteLog, ensure_schema
+
+
+def open_log(path):
+    db = Database(path, io=StorageIO())
+    ensure_schema(db)
+    return db, SQLiteWriteLog(db, io=StorageIO())
+
+
+class TestWriteAheadLog:
+    def test_file_backed_round_trip(self, tmp_path):
+        path = tmp_path / DATABASE_NAME
+        db, wal = open_log(path)
+        wal.append("create_graph", "g")
+        wal.append("add_edge", "g", {"source": "a", "target": "b"})
+        db.close()
+        _, reopened = open_log(path)
+        assert len(reopened) == 2
+        assert reopened.records()[1].payload["target"] == "b"
+        # New appends continue the sequence.
+        assert reopened.append("add_node", "g", {"id": "c"}).seq == 3
+
+    def test_truncate(self, tmp_path):
+        path = tmp_path / DATABASE_NAME
+        db, wal = open_log(path)
+        wal.append("create_graph", "g")
+        wal.truncate()
+        assert len(wal) == 0
+        db.close()
+        _, reopened = open_log(path)
+        assert reopened.records() == []
+        # The truncation's own sequence number is not handed out again.
+        assert reopened.next_seq == 3
+
+    def test_record_json_round_trip(self, tmp_path):
+        """A record read back from its row equals the one appended."""
+        path = tmp_path / DATABASE_NAME
+        db, wal = open_log(path)
+        record = wal.append(
+            "add_node",
+            "g",
+            {"id": 7, "kind": None, "features": {"name": "\u00fcn\u00ef", "weight": 1.5, "tags": ["x"]}},
+        )
+        db.close()
+        _, reopened = open_log(path)
+        assert reopened.records() == [record]
 
 
 class TestCatalog:
