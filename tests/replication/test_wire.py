@@ -36,27 +36,19 @@ def collect_deltas(build):
     return graph.deltas_since(version)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda g: g.add_node("c", kind="entity", features={"k": [1, 2], "s": "t"}),
-        lambda g: g.add_node("a", kind="activity", replace=True),
-        lambda g: g.remove_node("a"),
-        lambda g: g.set_node_features("b", {"role": "writer", "n": None}),
-        lambda g: g.add_edge("b", "a", label="wasGeneratedBy"),
-        lambda g: g.add_edge("a", "b", label="swapped", replace=True),
-        lambda g: g.remove_edge("a", "b"),
-    ],
-    ids=[
-        "add_node",
-        "replace_node",
-        "remove_node",
-        "set_features",
-        "add_edge",
-        "replace_edge",
-        "remove_edge",
-    ],
-)
+#: One edit per single-delta kind, applied to :func:`collect_deltas`' graph.
+DELTA_BUILDS = {
+    "add_node": lambda g: g.add_node("c", kind="entity", features={"k": [1, 2], "s": "t"}),
+    "replace_node": lambda g: g.add_node("a", kind="activity", replace=True),
+    "remove_node": lambda g: g.remove_node("a"),
+    "set_features": lambda g: g.set_node_features("b", {"role": "writer", "n": None}),
+    "add_edge": lambda g: g.add_edge("b", "a", label="wasGeneratedBy"),
+    "replace_edge": lambda g: g.add_edge("a", "b", label="swapped", replace=True),
+    "remove_edge": lambda g: g.remove_edge("a", "b"),
+}
+
+
+@pytest.mark.parametrize("build", list(DELTA_BUILDS.values()), ids=list(DELTA_BUILDS))
 def test_every_kind_round_trips_exactly(build):
     for delta in collect_deltas(build):
         assert record_to_delta(delta_to_record(delta)) == delta
