@@ -71,10 +71,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.api.persistence import account_from_metadata, account_metadata_to_dict
-from repro.codec import JSON_SEP, col_num, col_str, escape_field, split_num, split_str
+from repro.codec import (
+    JSON_SEP,
+    col_str,
+    escape_field,
+    pack_groups,
+    pack_table,
+    split_str,
+    unpack_groups,
+    unpack_table,
+)
 from repro.api.requests import ProtectionRequest
 from repro.api.results import ProtectionResult, ScoreCard
 from repro.core.markings import CompiledMarkingView, EdgeState, Marking
@@ -193,175 +203,78 @@ def _unwrap(data: bytes) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------- #
-# packed columns
+# packed tables
 # --------------------------------------------------------------------------- #
 # The per-node and per-edge tables dominate a checkpoint (a 2 MB payload
 # at 8k nodes).  Serialised as JSON rows they cost hundreds of thousands of
-# parser tokens *and* a Python-level loop per row on restore; the packed
-# column codecs (shared with the account-metadata serialiser) live in
-# :mod:`repro.codec`.  The body is JSON, so its columns are separated by
-# ``JSON_SEP``, which the JSON parser reads without an escape per field.
-def _col_str(values: List[Any]) -> Optional[str]:
-    return col_str(values, JSON_SEP)
+# parser tokens *and* a Python-level loop per row on restore; they go
+# through the table codec of :mod:`repro.codec` instead.  The body is JSON,
+# so its columns are separated by ``JSON_SEP``, which the JSON parser reads
+# without an escape per field.
+class _Keys(NamedTuple):
+    """How the keys of a keyed table split into string columns, and back.
 
-
-def _split_str(text: str, count: int) -> List[Any]:
-    return split_str(text, count, JSON_SEP)
-
-
-def _col_num(values: List[Any]) -> Optional[dict]:
-    return col_num(values, JSON_SEP)
-
-
-def _split_num(spec: dict, count: int) -> Any:
-    return split_num(spec, count, JSON_SEP)
-
-
-
-def _pack_map(mapping: Any) -> Any:
-    """A ``{string: number}`` mapping, columnar (or raw rows as fallback)."""
-    keys = list(mapping)
-    key_col = _col_str(keys)
-    value_col = _col_num(list(mapping.values()))
-    if key_col is None or value_col is None:
-        return [[key, value] for key, value in mapping.items()]
-    return {"n": len(keys), "k": key_col, "v": value_col}
-
-
-def _unpack_map(value: Any) -> Dict[Any, Any]:
-    if isinstance(value, list):
-        return {key: number for key, number in value}
-    count = value["n"]
-    return dict(zip(_split_str(value["k"], count), _split_num(value["v"], count)))
-
-
-def _pack_pairs(mapping: Any) -> Any:
-    """A ``{number: number}`` mapping (e.g. a Counter), columnar."""
-    key_col = _col_num(list(mapping))
-    value_col = _col_num(list(mapping.values()))
-    if key_col is None or value_col is None:
-        return [[key, value] for key, value in mapping.items()]
-    return {"n": len(mapping), "a": key_col, "b": value_col}
-
-
-def _unpack_pairs(value: Any) -> Dict[Any, Any]:
-    if isinstance(value, list):
-        return {key: number for key, number in value}
-    count = value["n"]
-    return dict(zip(_split_num(value["a"], count), _split_num(value["b"], count)))
-
-
-def _pack_edge_map(mapping: Any) -> Any:
-    """A ``{(source, target): number}`` mapping, columnar."""
-    source_col = _col_str([key[0] for key in mapping])
-    target_col = _col_str([key[1] for key in mapping])
-    value_col = _col_num(list(mapping.values()))
-    if source_col is None or target_col is None or value_col is None:
-        return [[key[0], key[1], value] for key, value in mapping.items()]
-    return {"n": len(mapping), "s": source_col, "t": target_col, "v": value_col}
-
-
-def _unpack_edge_map(value: Any) -> Dict[Any, Any]:
-    if isinstance(value, list):
-        return {(source, target): number for source, target, number in value}
-    count = value["n"]
-    keys = zip(_split_str(value["s"], count), _split_str(value["t"], count))
-    return dict(zip(keys, _split_num(value["v"], count)))
-
-
-def _pack_enum_map(mapping: Any) -> Any:
-    """A ``{node: Enum}`` mapping, grouped by enum value (few distinct values)."""
-    groups: Dict[Any, List[Any]] = {}
-    for key, member in mapping.items():
-        groups.setdefault(member.value, []).append(key)
-    packed = []
-    for value, keys in groups.items():
-        col = _col_str(keys)
-        if col is None:
-            return [[key, member.value] for key, member in mapping.items()]
-        packed.append([value, len(keys), col])
-    return {"groups": packed}
-
-
-def _grouped_table(
-    groups: List[List[Any]],
-    by_value: Dict[Any, Any],
-    group_keys: Any,
-    known_keys: Optional[Any],
-) -> Dict[Any, Any]:
-    """A ``{key: member}`` table from its value groups.
-
-    ``group_keys(group)`` decodes one group's keys.  ``known_keys`` (the
-    graph's own node or edge dict, proven by the caller to hold exactly the
-    table's keys) spares decoding the largest group: the table starts as
-    ``dict.fromkeys(known_keys, member)`` — in graph order, sharing the
-    graph's key objects — and only the other groups are decoded and
-    written over it (``dict.update`` keeps the existing key objects).  The
-    group counts must add up and every decoded key must already be known,
-    or the table is corrupt.
+    ``names`` holds the key of each column in a plain table.
     """
-    table: Dict[Any, Any] = {}
-    if known_keys is not None and groups:
-        largest = max(groups, key=lambda group: group[1])
-        if sum(group[1] for group in groups) != len(known_keys):
-            raise CorruptionError("table groups do not cover the graph")
-        table = dict.fromkeys(known_keys, by_value[largest[0]])
-        groups = [group for group in groups if group is not largest]
-    for group in groups:
-        table.update(dict.fromkeys(group_keys(group), by_value[group[0]]))
-    if known_keys is not None and len(table) != len(known_keys):
-        raise CorruptionError("table names a key the graph does not have")
-    return table
+
+    names: str
+    columns: Callable[[List[Any]], List[List[Any]]]
+    join: Callable[[List[List[Any]]], Any]
 
 
-def _node_group_keys(group: List[Any]) -> List[Any]:
-    """The node ids of one ``[value, count, id_col]`` group."""
-    return _split_str(group[2], group[1])
+_NODE_KEYS = _Keys("k", lambda keys: [keys], lambda columns: columns[0])
+_EDGE_KEYS = _Keys(
+    "st",
+    lambda keys: [[key[0] for key in keys], [key[1] for key in keys]],
+    lambda columns: zip(columns[0], columns[1]),
+)
+#: ``(node, (source, target))`` incidence keys; grouped or raw rows only.
+_OVERRIDE_KEYS = _Keys(
+    "nst",
+    lambda keys: [
+        [key[0] for key in keys],
+        [key[1][0] for key in keys],
+        [key[1][1] for key in keys],
+    ],
+    lambda columns: zip(columns[0], zip(columns[1], columns[2])),
+)
 
 
-def _edge_group_keys(group: List[Any]) -> Any:
-    """The edge keys of one ``[value, count, source_col, target_col]`` group."""
-    return zip(_split_str(group[2], group[1]), _split_str(group[3], group[1]))
+def _pack_keyed(mapping: Any, keys: _Keys, values: List[Any], value_kind: str) -> Any:
+    """A keyed map as one plain table: its key columns, then ``values``."""
+    columns = [*keys.columns(list(mapping)), values]
+    return pack_table(columns, "s" * len(keys.names) + value_kind, keys.names + "v", JSON_SEP)
+
+
+def _unpack_keyed(value: Any, keys: _Keys, value_kind: str) -> Tuple[Any, Any]:
+    """The keys and the values of a :func:`_pack_keyed` table."""
+    kinds = "s" * len(keys.names) + value_kind
+    *key_columns, values = unpack_table(value, kinds, keys.names + "v", JSON_SEP)
+    return keys.join(key_columns), values
+
+
+def _pack_enum_map(mapping: Any, keys: _Keys) -> Any:
+    """A ``{key: Enum}`` mapping, grouped by enum value (few distinct values).
+
+    Keys that will not pack (exotic ids) leave the whole map as raw rows.
+    """
+    groups = pack_groups(mapping, attrgetter("value"), keys.columns, JSON_SEP)
+    if groups is not None:
+        return {"groups": groups}
+    return _pack_keyed(mapping, keys, [member.value for member in mapping.values()], "s")
 
 
 def _unpack_enum_map(
-    value: Any, by_value: Dict[Any, Any], node_ids: Optional[Any] = None
+    value: Any, by_value: Dict[Any, Any], keys: _Keys, known_keys: Optional[Any] = None
 ) -> Dict[Any, Any]:
-    """Decode a grouped node map; ``node_ids`` names its exact key set."""
-    if isinstance(value, list):
-        return {key: by_value[v] for key, v in value}
-    return _grouped_table(value["groups"], by_value, _node_group_keys, node_ids)
+    """Decode a grouped enum map; ``known_keys`` names its exact key set."""
+    if isinstance(value, dict):
+        return unpack_groups(value["groups"], by_value, keys.join, known_keys, JSON_SEP)
+    key_objects, values = _unpack_keyed(value, keys, "s")
+    return dict(zip(key_objects, map(by_value.__getitem__, values)))
 
 
-def _pack_enum_edge_map(mapping: Any) -> Any:
-    """A ``{(source, target): Enum}`` mapping, grouped by enum value."""
-    groups: Dict[Any, Tuple[List[Any], List[Any]]] = {}
-    for (source, target), member in mapping.items():
-        sources, targets = groups.setdefault(member.value, ([], []))
-        sources.append(source)
-        targets.append(target)
-    packed = []
-    for value, (sources, targets) in groups.items():
-        source_col = _col_str(sources)
-        target_col = _col_str(targets)
-        if source_col is None or target_col is None:
-            return [
-                [key[0], key[1], member.value] for key, member in mapping.items()
-            ]
-        packed.append([value, len(sources), source_col, target_col])
-    return {"groups": packed}
-
-
-def _unpack_enum_edge_map(
-    value: Any, by_value: Dict[Any, Any], edge_keys: Optional[Any] = None
-) -> Dict[Any, Any]:
-    """Decode a grouped edge map; ``edge_keys`` names its exact key set."""
-    if isinstance(value, list):
-        return {(source, target): by_value[v] for source, target, v in value}
-    return _grouped_table(value["groups"], by_value, _edge_group_keys, edge_keys)
-
-
-def _pack_number_map(mapping: Any, known: Optional[Any], edge_keyed: bool) -> Any:
+def _pack_number_map(mapping: Any, known: Optional[Any], keys: _Keys) -> Any:
     """A ``{key: number}`` map; grouped by value when its keys are ``known``.
 
     Score and opacity maps hold a handful of distinct values over every
@@ -369,79 +282,34 @@ def _pack_number_map(mapping: Any, known: Optional[Any], edge_keyed: bool) -> An
     ``known`` — keys a restore already holds — in the same order, it is
     written as value groups (each value as its exact ``repr``), and
     :func:`_unpack_number_map` given the same keys decodes only the small
-    groups (see :func:`_grouped_table`).  Otherwise, plain columns.
+    groups (see :func:`repro.codec.unpack_groups`).  Otherwise, plain
+    columns.
     """
-    plain = _pack_edge_map if edge_keyed else _pack_map
-    if known is None or len(mapping) != len(known):
-        return plain(mapping)
-    if any(key != known_key for key, known_key in zip(mapping, known)):
-        return plain(mapping)
     values = list(mapping.values())
-    if all(type(value) is float for value in values):
-        tag = "f"
-    elif all(type(value) is int for value in values):
-        tag = "i"
-    else:
-        return plain(mapping)
-    groups: Dict[str, List[Any]] = {}
-    for key, value in mapping.items():
-        groups.setdefault(repr(value), []).append(key)
-    packed = []
-    for text, keys in groups.items():
-        if edge_keyed:
-            cols = [_col_str([key[0] for key in keys]), _col_str([key[1] for key in keys])]
+    if (
+        known is not None
+        and len(mapping) == len(known)
+        and all(key == known_key for key, known_key in zip(mapping, known))
+    ):
+        if all(type(value) is float for value in values):
+            tag = "f"
+        elif all(type(value) is int for value in values):
+            tag = "i"
         else:
-            cols = [_col_str(keys)]
-        if any(col is None for col in cols):
-            return plain(mapping)
-        packed.append([text, len(keys), *cols])
-    return {"ty": tag, "groups": packed}
+            tag = None
+        groups = pack_groups(mapping, repr, keys.columns, JSON_SEP) if tag else None
+        if groups is not None:
+            return {"ty": tag, "groups": groups}
+    return _pack_keyed(mapping, keys, values, "n")
 
 
-def _unpack_number_map(value: Any, known: Optional[Any], edge_keyed: bool) -> Dict[Any, Any]:
+def _unpack_number_map(value: Any, known: Optional[Any], keys: _Keys) -> Dict[Any, Any]:
     """Decode :func:`_pack_number_map` output; ``known`` as given to it."""
     if isinstance(value, list) or "groups" not in value:
-        return _unpack_edge_map(value) if edge_keyed else _unpack_map(value)
+        return dict(zip(*_unpack_keyed(value, keys, "n")))
     convert = int if value["ty"] == "i" else float
     by_value = {group[0]: convert(group[0]) for group in value["groups"]}
-    group_keys = _edge_group_keys if edge_keyed else _node_group_keys
-    return _grouped_table(value["groups"], by_value, group_keys, known)
-
-
-def _pack_override_map(mapping: Any) -> Any:
-    """The ``{(node, (source, target)): Marking}`` override table, grouped."""
-    groups: Dict[Any, Tuple[List[Any], List[Any], List[Any]]] = {}
-    for (node, (source, target)), member in mapping.items():
-        nodes, sources, targets = groups.setdefault(member.value, ([], [], []))
-        nodes.append(node)
-        sources.append(source)
-        targets.append(target)
-    packed = []
-    for value, (nodes, sources, targets) in groups.items():
-        cols = (_col_str(nodes), _col_str(sources), _col_str(targets))
-        if any(col is None for col in cols):
-            return [
-                [node, edge[0], edge[1], member.value]
-                for (node, edge), member in mapping.items()
-            ]
-        packed.append([value, len(nodes), *cols])
-    return {"groups": packed}
-
-
-def _unpack_override_map(value: Any) -> Dict[Any, Any]:
-    if isinstance(value, list):
-        return {
-            (node, (source, target)): _MARKING_BY_VALUE[v]
-            for node, source, target, v in value
-        }
-    table: Dict[Any, Any] = {}
-    for v, count, node_col, source_col, target_col in value["groups"]:
-        keys = zip(
-            _split_str(node_col, count),
-            zip(_split_str(source_col, count), _split_str(target_col, count)),
-        )
-        table.update(dict.fromkeys(keys, _MARKING_BY_VALUE[v]))
-    return table
+    return unpack_groups(value["groups"], by_value, keys.join, known, JSON_SEP)
 
 
 def _encode_features(features: Dict[str, Any]) -> str:
@@ -464,7 +332,7 @@ def _pack_entities(rows: List[List[Any]]) -> Any:
         if len(set(col)) == 1 and (col[0] is None or isinstance(col[0], str)):
             head_cols.append([col[0]])
             continue
-        head_cols.append(_col_str(list(col)))
+        head_cols.append(col_str(list(col), JSON_SEP))
         if head_cols[-1] is None:
             return rows
     features_col = None
@@ -491,7 +359,9 @@ def _entity_columns(value: Any, width: int) -> List[List[Any]]:
     if count == 0:
         return [[] for _ in range(width + 1)]
     cols = [
-        _split_str(col, count) if isinstance(col, str) else _constant_column(col, count)
+        split_str(col, count, JSON_SEP)
+        if isinstance(col, str)
+        else _constant_column(col, count)
         for col in value["cols"]
     ]
     if len(cols) != width:
@@ -502,7 +372,7 @@ def _entity_columns(value: Any, width: int) -> List[List[Any]]:
         features = [{} for _ in range(count)]
     else:
         features = [
-            json.loads(text) if text else {} for text in _split_str(value["f"], count)
+            json.loads(text) if text else {} for text in split_str(value["f"], count, JSON_SEP)
         ]
     return [*cols, features]
 
@@ -568,9 +438,9 @@ def _marking_view_to_dict(view: CompiledMarkingView) -> Dict[str, Any]:
     """Serialise a compiled marking view's three tables (packed when possible)."""
     return {
         "privilege": view.privilege.name,
-        "node_default": _pack_enum_map(view.node_default),
-        "overrides": _pack_override_map(view._overrides),
-        "edge_states": _pack_enum_edge_map(view.edge_state_table),
+        "node_default": _pack_enum_map(view.node_default, _NODE_KEYS),
+        "overrides": _pack_enum_map(view._overrides, _OVERRIDE_KEYS),
+        "edge_states": _pack_enum_map(view.edge_state_table, _EDGE_KEYS),
     }
 
 
@@ -602,12 +472,14 @@ def _marking_view_from_dict(
     view.node_default = _unpack_enum_map(
         payload["node_default"],
         _MARKING_BY_VALUE,
+        _NODE_KEYS,
         graph._nodes if graph_unchanged else None,
     )
-    view._overrides = _unpack_override_map(payload["overrides"])
-    view.edge_state_table = _unpack_enum_edge_map(
+    view._overrides = _unpack_enum_map(payload["overrides"], _MARKING_BY_VALUE, _OVERRIDE_KEYS)
+    view.edge_state_table = _unpack_enum_map(
         payload["edge_states"],
         _EDGE_STATE_BY_VALUE,
+        _EDGE_KEYS,
         graph._edges if graph_unchanged else None,
     )
     record_maintenance("marking_view", "restored")
@@ -620,15 +492,18 @@ def _opacity_view_to_dict(view: CompiledOpacityView, account_nodes: Any) -> Dict
     ``account_nodes`` (the account graph's node dict) lets the weight maps
     be written as value groups (see :func:`_pack_number_map`).
     """
+    counts = view._inference_value_counts
     return {
         "node_count": view.node_count,
-        "focus_weights": _pack_number_map(view.focus_weights, account_nodes, False),
-        "inference_weights": _pack_number_map(view.inference_weights, account_nodes, False),
+        "focus_weights": _pack_number_map(view.focus_weights, account_nodes, _NODE_KEYS),
+        "inference_weights": _pack_number_map(view.inference_weights, account_nodes, _NODE_KEYS),
         "total_focus": view.total_focus,
         "total_inference": view.total_inference,
         "total_focus_exact": str(view._total_focus_exact),
         "total_inference_exact": str(view._total_inference_exact),
-        "inference_value_counts": _pack_pairs(view._inference_value_counts),
+        "inference_value_counts": pack_table(
+            [list(counts), list(counts.values())], "nn", "ab", JSON_SEP
+        ),
     }
 
 
@@ -645,10 +520,10 @@ def _opacity_view_from_dict(
         graph_version=account_graph.version,
         node_count=payload["node_count"],
         focus_weights=_unpack_number_map(
-            payload["focus_weights"], account_graph._nodes, False
+            payload["focus_weights"], account_graph._nodes, _NODE_KEYS
         ),
         inference_weights=_unpack_number_map(
-            payload["inference_weights"], account_graph._nodes, False
+            payload["inference_weights"], account_graph._nodes, _NODE_KEYS
         ),
         total_focus=payload["total_focus"],
         total_inference=payload["total_inference"],
@@ -663,7 +538,7 @@ def _opacity_view_from_dict(
         _total_focus_exact=Fraction(payload["total_focus_exact"]),
         _total_inference_exact=Fraction(payload["total_inference_exact"]),
         _inference_value_counts=Counter(
-            _unpack_pairs(payload["inference_value_counts"])
+            dict(zip(*unpack_table(payload["inference_value_counts"], "nn", "ab", JSON_SEP)))
         ),
     )
     record_maintenance("opacity_view", "restored")
@@ -724,23 +599,10 @@ def _graph_diff(base: PropertyGraph, target: PropertyGraph) -> Optional[Dict[str
 
 def _encode_diff(diff: Dict[str, Any]) -> Dict[str, Any]:
     """Pack the diff's six row lists for the checkpoint body."""
-    removed_edges = diff["removed_edges"]
-    source_col = _col_str([row[0] for row in removed_edges])
-    target_col = _col_str([row[1] for row in removed_edges])
-    if source_col is not None and target_col is not None:
-        packed_removed: Any = {
-            "n": len(removed_edges),
-            "s": source_col,
-            "t": target_col,
-        }
-    else:
-        packed_removed = removed_edges
-    id_col = _col_str(diff["removed_nodes"])
+    removed_edges = _EDGE_KEYS.columns(diff["removed_edges"])
     return {
-        "removed_edges": packed_removed,
-        "removed_nodes": {"n": len(diff["removed_nodes"]), "t": id_col}
-        if id_col is not None
-        else diff["removed_nodes"],
+        "removed_edges": pack_table(removed_edges, "ss", "st", JSON_SEP),
+        "removed_nodes": pack_table([diff["removed_nodes"]], "s", "t", JSON_SEP),
         "added_nodes": _pack_entities(diff["added_nodes"]),
         "added_edges": _pack_entities(diff["added_edges"]),
         "changed_nodes": _pack_entities(diff["changed_nodes"]),
@@ -763,9 +625,7 @@ def _apply_graph_diff(
     edges, in diff order, which the caller can share rather than decode
     the same keys again.
     """
-    removed_nodes = diff["removed_nodes"]
-    if isinstance(removed_nodes, dict):
-        removed_nodes = _split_str(removed_nodes["t"], removed_nodes["n"])
+    (removed_nodes,) = unpack_table(diff["removed_nodes"], "s", "t", JSON_SEP)
     dropped = set(removed_nodes)
     rebuilt = PropertyGraph(name=name)
     nodes = rebuilt._nodes = dict(base._nodes)
@@ -780,12 +640,7 @@ def _apply_graph_diff(
         node: adj.copy() for node, adj in base._pred.items() if node not in dropped
     }
 
-    removed = diff["removed_edges"]
-    if isinstance(removed, dict):
-        count = removed["n"]
-        removed_keys = list(zip(_split_str(removed["s"], count), _split_str(removed["t"], count)))
-    else:
-        removed_keys = [(source, target) for source, target in removed]
+    removed_keys = list(zip(*unpack_table(diff["removed_edges"], "ss", "st", JSON_SEP)))
     for key in removed_keys:
         del edges[key]
         source, target = key
@@ -893,12 +748,12 @@ def _scores_to_dict(
             "path_utility": scores.utility.path_utility,
             "node_utility": scores.utility.node_utility,
             "path_percentages": _pack_number_map(
-                scores.utility.path_percentages, graph_nodes, False
+                scores.utility.path_percentages, graph_nodes, _NODE_KEYS
             ),
         },
         "opacity": {
             "average": scores.opacity.average,
-            "per_edge": _pack_number_map(scores.opacity.per_edge, removed_keys, True),
+            "per_edge": _pack_number_map(scores.opacity.per_edge, removed_keys, _EDGE_KEYS),
         },
         "timings_ms": dict(scores.timings_ms),
     }
@@ -915,12 +770,12 @@ def _scores_from_dict(
         path_utility=payload["utility"]["path_utility"],
         node_utility=payload["utility"]["node_utility"],
         path_percentages=_unpack_number_map(
-            payload["utility"]["path_percentages"], graph_nodes, False
+            payload["utility"]["path_percentages"], graph_nodes, _NODE_KEYS
         ),
     )
     opacity = OpacityReport(
         average=payload["opacity"]["average"],
-        per_edge=_unpack_number_map(payload["opacity"]["per_edge"], removed_keys, True),
+        per_edge=_unpack_number_map(payload["opacity"]["per_edge"], removed_keys, _EDGE_KEYS),
         view=opacity_view,
     )
     return ScoreCard(utility=utility, opacity=opacity, timings_ms=payload.get("timings_ms", {}))

@@ -21,7 +21,7 @@ The payload format mirrors :mod:`repro.graph.serialization`'s style::
     }
 
 except that the three row tables above are written as packed tab-joined
-columns (:mod:`repro.api.columns`) when their fields are uniformly
+columns (:func:`repro.codec.pack_table`) when their fields are uniformly
 strings — at protection density a surrogate edge set holds tens of
 thousands of rows, and the packed shape is what keeps checkpoint restore
 decode-bound rather than parse-bound.  Readers accept both shapes.

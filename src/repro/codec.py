@@ -26,7 +26,7 @@ the cost of parsing a packed column.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import CorruptionError
 
@@ -51,6 +51,7 @@ def escape_field(field: Optional[str], sep: str = TAB) -> str:
 
 
 def unescape_field(field: str) -> Optional[str]:
+    """The inverse of :func:`escape_field` (either separator)."""
     if field == NONE_FIELD:
         return None
     if "\\" not in field:
@@ -113,37 +114,119 @@ def split_num(spec: dict, count: int, sep: str = TAB) -> Iterator[Any]:
     return map(int if spec["ty"] == "i" else float, fields)
 
 
-def pack_pair_table(pairs) -> Any:
-    """``[[a, b], ...]`` rows as two packed columns (or raw rows fallback)."""
+def pack_table(columns: List[List[Any]], kinds: str, names: Sequence[str], sep: str = TAB) -> Any:
+    """Equal-length columns as one packed table: ``{"n": rows, name: column, ...}``.
+
+    ``kinds`` holds one letter per column: ``"s"`` for a string column
+    (:func:`col_str`), ``"n"`` for a numeric one (:func:`col_num`).
+    ``names`` holds the key each column is stored under.  When a column
+    will not pack, the table is written as its rows instead, and a
+    one-column table as a flat list.
+    """
+    table: Dict[str, Any] = {"n": len(columns[0])}
+    for column, kind, name in zip(columns, kinds, names):
+        packed = col_str(column, sep) if kind == "s" else col_num(column, sep)
+        if packed is None:
+            if len(columns) == 1:
+                return list(column)
+            return [list(row) for row in zip(*columns)]
+        table[name] = packed
+    return table
+
+
+def unpack_table(value: Any, kinds: str, names: Sequence[str], sep: str = TAB) -> List[Any]:
+    """The columns of a :func:`pack_table` table, from either shape.
+
+    String columns come back as lists and numeric ones as lazy iterators
+    (see :func:`split_num`), so the caller zips each column once.
+    """
+    if isinstance(value, dict):
+        count = value["n"]
+        return [
+            split_str(value[name], count, sep) if kind == "s" else split_num(value[name], count, sep)
+            for kind, name in zip(kinds, names)
+        ]
+    if len(names) == 1:
+        return [list(value)]
+    if any(len(row) != len(names) for row in value):
+        raise CorruptionError(f"table rows do not hold {len(names)} fields each")
+    return [list(column) for column in zip(*value)] if value else [[] for _ in names]
+
+
+def pack_groups(
+    mapping: Any,
+    value_text: Callable[[Any], str],
+    key_columns: Callable[[List[Any]], List[List[Any]]],
+    sep: str = TAB,
+) -> Optional[List[List[Any]]]:
+    """A ``{key: value}`` map as ``[value_text, count, *key_columns]`` groups.
+
+    Keys are grouped by ``value_text(value)`` in first-seen order, and
+    ``key_columns(keys)`` splits one group's keys into string columns.
+    ``None`` when a key column will not pack.
+    """
+    grouped: Dict[str, List[Any]] = {}
+    for key, value in mapping.items():
+        grouped.setdefault(value_text(value), []).append(key)
+    groups = []
+    for text, keys in grouped.items():
+        columns = [col_str(column, sep) for column in key_columns(keys)]
+        if None in columns:
+            return None
+        groups.append([text, len(keys), *columns])
+    return groups
+
+
+def unpack_groups(
+    groups: List[List[Any]],
+    by_value: Dict[str, Any],
+    keys_of: Callable[[List[List[Any]]], Any],
+    known_keys: Optional[Any] = None,
+    sep: str = TAB,
+) -> Dict[Any, Any]:
+    """A ``{key: value}`` table from its :func:`pack_groups` groups.
+
+    ``by_value`` maps each group's text to its value, and ``keys_of``
+    makes one group's keys from its decoded columns.  ``known_keys`` (the
+    graph's own node or edge dict, proven by the caller to hold exactly
+    the table's keys) spares decoding the largest group: the table starts
+    as ``dict.fromkeys(known_keys, value)`` — in graph order, sharing the
+    graph's key objects — and only the other groups are decoded and
+    written over it (``dict.update`` keeps the existing key objects).  The
+    group counts must add up and every decoded key must already be known,
+    or the table is corrupt.
+    """
+    table: Dict[Any, Any] = {}
+    if known_keys is not None and groups:
+        largest = max(groups, key=lambda group: group[1])
+        if sum(group[1] for group in groups) != len(known_keys):
+            raise CorruptionError("table groups do not cover the graph")
+        table = dict.fromkeys(known_keys, by_value[largest[0]])
+        groups = [group for group in groups if group is not largest]
+    for group in groups:
+        columns = [split_str(column, group[1], sep) for column in group[2:]]
+        table.update(dict.fromkeys(keys_of(columns), by_value[group[0]]))
+    if known_keys is not None and len(table) != len(known_keys):
+        raise CorruptionError("table names a key the graph does not have")
+    return table
+
+
+def pack_pair_table(pairs: Iterable[Any]) -> Any:
+    """``(a, b)`` pairs as an account-metadata table (see :func:`pack_table`)."""
     rows = list(pairs)
-    left = col_str([row[0] for row in rows])
-    right = col_str([row[1] for row in rows])
-    if left is None or right is None:
-        return [[a, b] for a, b in rows]
-    return {"n": len(rows), "a": left, "b": right}
+    return pack_table([[row[0] for row in rows], [row[1] for row in rows]], "ss", "ab")
 
 
 def unpack_pair_table(value: Any) -> Iterator[tuple]:
-    """Rows back out of either shape, as an iterator of 2-tuples."""
-    if isinstance(value, dict):
-        count = value["n"]
-        return zip(split_str(value["a"], count), split_str(value["b"], count))
-    return ((a, b) for a, b in value)
+    """The pairs of a :func:`pack_pair_table` table, as 2-tuples."""
+    return zip(*unpack_table(value, "ss", "ab"))
 
 
-def pack_id_list(values) -> Any:
-    """A list of node ids as one packed column (or the raw list fallback)."""
-    rows = list(values)
-    col = col_str(rows)
-    return {"n": len(rows), "t": col} if col is not None else rows
+def pack_id_list(values: Iterable[Any]) -> Any:
+    """Node ids as an account-metadata table (see :func:`pack_table`)."""
+    return pack_table([list(values)], "s", "t")
 
 
 def unpack_id_list(value: Any) -> List[Any]:
-    if isinstance(value, dict):
-        return split_str(value["t"], value["n"])
-    return list(value)
-
-
-def table_len(value: Any) -> int:
-    """Row count of a packed-or-raw table without decoding it."""
-    return value["n"] if isinstance(value, dict) else len(value)
+    """The ids of a :func:`pack_id_list` table."""
+    return unpack_table(value, "s", "t")[0]

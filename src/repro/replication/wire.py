@@ -5,10 +5,11 @@ every delta it journals into one JSON document per log row; a follower's
 :class:`~repro.replication.replica.ReplicaService` decodes the row and
 replays it through the ordinary :class:`~repro.graph.model.PropertyGraph`
 mutators.  The format therefore only has to round-trip *exactly* — byte
-equality of the replayed graph is what the differential suite pins — and
-it reuses the :mod:`repro.codec` packed-column helpers for the one genuinely
-row-shaped payload (the incident-edge table a ``REMOVE_NODE`` carries), the
-same way checkpoints and account sidecars pack their tables.
+equality of the replayed graph is what the differential suite pins.  The
+one genuinely row-shaped payload, the incident-edge table a
+``REMOVE_NODE`` carries, goes through the table codec that checkpoints
+and account metadata use (:func:`repro.codec.pack_table`): four
+TAB-separated string columns next to a row count.
 
 Supported value domain
 ----------------------
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.codec import col_str, split_str
+from repro.codec import pack_table, unpack_table
 from repro.exceptions import CorruptionError
 from repro.graph.deltas import DeltaKind, GraphDelta
 from repro.graph.model import Edge, Node
@@ -117,23 +118,21 @@ def _edge_from(payload: Mapping[str, Any]) -> Edge:
 
 
 # --------------------------------------------------------------------------- #
-# removed-edge tables (packed columns, as in repro.codec)
+# removed-edge tables (the table codec of repro.codec)
 # --------------------------------------------------------------------------- #
 def _pack_removed_edges(edges: Tuple[Edge, ...]) -> Optional[Dict[str, Any]]:
-    """The ``REMOVE_NODE`` incident-edge table as four packed columns.
+    """The ``REMOVE_NODE`` incident-edge table as four packed string columns.
 
-    Every column is strings-or-``None`` by construction (ids are encoded to
-    JSON text, features to compact JSON), so :func:`repro.codec.col_str`
-    always packs; the labels column uses its ``None`` sentinel directly.
+    Ids are encoded to JSON text and features to compact JSON, so only the
+    labels column can fail to pack (its ``None`` sentinel covers a missing
+    label); a label of any other type raises :class:`UnsupportedDeltaError`.
     """
     if not edges:
         return None
-    sources = col_str([encode_id(edge.source) for edge in edges])
-    targets = col_str([encode_id(edge.target) for edge in edges])
-    labels = col_str(
-        [_check_roundtrip(edge.label, "edge label") for edge in edges]
-    )
-    feats = col_str(
+    columns = [
+        [encode_id(edge.source) for edge in edges],
+        [encode_id(edge.target) for edge in edges],
+        [_check_roundtrip(edge.label, "edge label") for edge in edges],
         [
             json.dumps(
                 _encode_features(edge.features, "edge features"),
@@ -142,21 +141,18 @@ def _pack_removed_edges(edges: Tuple[Edge, ...]) -> Optional[Dict[str, Any]]:
                 allow_nan=False,
             )
             for edge in edges
-        ]
-    )
-    if sources is None or targets is None or feats is None or labels is None:
+        ],
+    ]
+    table = pack_table(columns, "ssss", "stlf")
+    if not isinstance(table, dict):
         raise UnsupportedDeltaError("removed-edge table holds non-string labels")
-    return {"n": len(edges), "s": sources, "t": targets, "l": labels, "f": feats}
+    return table
 
 
 def _unpack_removed_edges(table: Optional[Mapping[str, Any]]) -> Tuple[Edge, ...]:
     if not table:
         return ()
-    count = table["n"]
-    sources = split_str(table["s"], count)
-    targets = split_str(table["t"], count)
-    labels = split_str(table["l"], count)
-    feats = split_str(table["f"], count)
+    sources, targets, labels, feats = unpack_table(table, "ssss", "stlf")
     edges = []
     for src, dst, label, feat in zip(sources, targets, labels, feats):
         if src is None or dst is None or feat is None:

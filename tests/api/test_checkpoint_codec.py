@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.api.checkpoints import (
+    _NODE_KEYS,
     _apply_graph_diff,
     _encode_diff,
     _graph_diff,
@@ -156,9 +157,9 @@ NUMBER_MAPS = {
 @pytest.mark.parametrize("case", sorted(NUMBER_MAPS))
 def test_number_map_round_trip_is_exact(case):
     mapping, form = NUMBER_MAPS[case]
-    packed = through_json(_pack_number_map(mapping, NODES, False))
+    packed = through_json(_pack_number_map(mapping, NODES, _NODE_KEYS))
     assert ("groups" in packed) == (form == "groups")
-    unpacked = _unpack_number_map(packed, NODES, False)
+    unpacked = _unpack_number_map(packed, NODES, _NODE_KEYS)
     assert unpacked == mapping
     assert [type(value) for value in unpacked.values()] == [
         type(mapping[key]) for key in unpacked
