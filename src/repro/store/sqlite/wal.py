@@ -71,18 +71,10 @@ class SQLiteWriteLog:
     def __init__(self, db: Database, *, io: StorageIO) -> None:
         self.db = db
         self.io = io
-        self.recovery_info = WalRecoveryInfo()
-        self._records: List[LogRecord] = []
         self._base_seq = int(self._meta("wal_base_seq") or 0)
-        for seq, op, graph, payload in self.db.execute(
-            "SELECT seq, op, graph, payload FROM wal_log ORDER BY seq"
-        ).fetchall():
-            self._records.append(
-                LogRecord(seq=seq, op=op, graph=graph, payload=json.loads(payload))
-            )
-        self.recovery_info.records = len(self._records)
-        top = self._records[-1].seq if self._records else self._base_seq
-        self._next_seq = max(top, self._base_seq) + 1
+        count, top = self.db.execute("SELECT count(*), max(seq) FROM wal_log").fetchone()
+        self.recovery_info = WalRecoveryInfo(records=count)
+        self._next_seq = max(top or 0, self._base_seq) + 1
 
     def _meta(self, key: str) -> Optional[str]:
         row = self.db.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
@@ -94,11 +86,10 @@ class SQLiteWriteLog:
     def append(self, op: str, graph: str, payload: Optional[Dict[str, Any]] = None) -> LogRecord:
         """Durably append one record: one INSERT, one committed transaction.
 
-        The in-memory record list and the sequence counter advance only
-        after the commit succeeded, so a failed (and retried) append never
-        leaves the memory image ahead of durable state.  A fault reported
-        *after* the commit leaves the counter where it was, so the retry
-        rewrites the same row instead of colliding with it.
+        The sequence counter advances only after the commit succeeded, so
+        a failed (and retried) append never runs ahead of durable state.  A
+        fault reported *after* the commit leaves the counter where it was,
+        so the retry rewrites the same row instead of colliding with it.
         """
         if op not in KNOWN_OPS:
             raise StoreError(f"unknown write-log operation {op!r}")
@@ -109,7 +100,6 @@ class SQLiteWriteLog:
                 (record.seq, record.op, record.graph, json.dumps(record.payload, default=str)),
             )
         self._next_seq += 1
-        self._records.append(record)
         return record
 
     def truncate(self) -> None:
@@ -123,16 +113,18 @@ class SQLiteWriteLog:
         with self.db.transaction("sqlite.wal.truncate"):
             self.db.execute("DELETE FROM wal_log")
             write_base_seq(self.db, marker_seq)
-        self._records.clear()
         self._base_seq = marker_seq
         self._next_seq = marker_seq + 1
 
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
+    # Reads see the rows below ``next_seq``: every row a writable log
+    # appended, and on a read-only (follower) open exactly the rows present
+    # at open, however far the leader has written since.
     def records(self) -> List[LogRecord]:
         """All records currently in the log, in order."""
-        return list(self._records)
+        return self.records_since(0)
 
     @property
     def next_seq(self) -> int:
@@ -146,10 +138,20 @@ class SQLiteWriteLog:
 
     def records_since(self, seq: int) -> List[LogRecord]:
         """Records with sequence numbers strictly greater than ``seq``."""
-        return [record for record in self._records if record.seq > seq]
+        rows = self.db.execute(
+            "SELECT seq, op, graph, payload FROM wal_log WHERE seq > ? AND seq < ? ORDER BY seq",
+            (seq, self._next_seq),
+        ).fetchall()
+        return [
+            LogRecord(seq=seq, op=op, graph=graph, payload=json.loads(payload))
+            for seq, op, graph, payload in rows
+        ]
 
     def __len__(self) -> int:
-        return len(self._records)
+        (count,) = self.db.execute(
+            "SELECT count(*) FROM wal_log WHERE seq < ?", (self._next_seq,)
+        ).fetchone()
+        return count
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        return iter(self.records())

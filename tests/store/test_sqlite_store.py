@@ -77,6 +77,21 @@ class TestSQLiteWriteLog:
         assert SQLiteWriteLog(db, io=StorageIO()).recovery_info.records == 2
 
 
+def test_read_only_open_reads_only_the_rows_present_at_open(tmp_path):
+    leader = GraphStore(tmp_path)
+    leader.create_graph("g")
+    leader.add_node("g", "a", kind="data")
+    follower = GraphStore(tmp_path, read_only=True)
+    leader.add_node("g", "b", kind="data")
+    wal = follower.storage.wal
+    assert [record.op for record in wal.records()] == ["create_graph", "add_node"]
+    assert len(wal) == 2 and wal.records_since(1)[0].payload["id"] == "a"
+    assert follower.graph("g").node_ids() == ["a"]
+    assert len(leader.storage.wal) == 3
+    follower.storage.close()
+    leader.storage.close()
+
+
 class TestDatabase:
     def test_operational_error_is_transient(self, tmp_path):
         db = Database(tmp_path / "x.sqlite", io=StorageIO())
