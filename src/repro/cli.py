@@ -60,7 +60,8 @@ from repro.experiments.runner import run_all
 from repro.experiments.table1 import run_table1
 from repro.graph.serialization import load_graph, save_graph
 from repro.graph.statistics import summarize
-from repro.server.errors import error_envelope
+from repro.server.encoding import build_policy, decode_protection_request
+from repro.server.errors import BadRequestError, error_envelope
 from repro.store.engine import GraphStore
 from repro.workloads.motifs import all_motifs
 
@@ -334,12 +335,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         _print_error(f"cannot load batch graph: {exc}", kind=type(exc).__name__, as_json=as_json, exc=exc)
         return 1
 
-    policy = ReleasePolicy(PrivilegeLattice())
     try:
-        for name, dominates in dict(spec.get("lattice", {})).items():
-            policy.lattice.add(name, dominates=list(dominates))
-        for node_id, privilege in dict(spec.get("lowest", {})).items():
-            policy.set_lowest(node_id, privilege)
+        policy = build_policy(spec)
     except ReproError as exc:
         _print_error(str(exc), kind=type(exc).__name__, as_json=as_json, exc=exc)
         return 1
@@ -356,7 +353,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
     try:
         requests = [_batch_request(entry, graphs) for entry in spec["requests"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ReproError as exc:
         _print_error(f"bad batch request: {exc}", kind="usage", as_json=as_json)
         return 2
 
@@ -399,31 +396,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _batch_request(entry: dict, graphs: Dict[str, object]) -> ProtectionRequest:
-    """Build one ProtectionRequest from its batch-spec JSON entry."""
-    if not isinstance(entry, dict):
-        raise TypeError(f"each request must be an object, got {entry!r}")
-    options = dict(entry)
-    graph_name = options.pop("graph", None)
-    graph = None
-    if graph_name is not None:
-        if graph_name not in graphs:
-            raise ValueError(f"request names unknown graph {graph_name!r}")
-        graph = graphs[graph_name]
-    privileges = options.pop("privileges", None)
-    privilege = options.pop("privilege", None)
-    if privileges is None:
-        if privilege is None:
-            raise ValueError("each request needs 'privilege' or 'privileges'")
-        privileges = [privilege]
-    if "protect_edges" in options:
-        options["protect_edges"] = tuple(
-            (source, target) for source, target in options["protect_edges"]
-        )
-    if "opacity_edges" in options:
-        options["opacity_edges"] = tuple(
-            (source, target) for source, target in options["opacity_edges"]
-        )
-    return ProtectionRequest(privileges=tuple(privileges), graph=graph, **options)
+    """One batch-spec entry as a request on the graph its ``graph`` names."""
+    graph_name = entry.get("graph") if isinstance(entry, dict) else None
+    if graph_name is not None and graph_name not in graphs:
+        raise BadRequestError(f"request names unknown graph {graph_name!r}")
+    return decode_protection_request(entry, graphs.get(graph_name))
 
 
 def _stats_since(
@@ -445,7 +422,6 @@ def _stats_since(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run (or ``--check``) the async HTTP frontend on a background thread."""
-    # Imported lazily: only this subcommand needs the asyncio server stack.
     from repro.server.app import ServerConfig, start_server_thread
 
     as_json = getattr(args, "json", False)
@@ -540,12 +516,8 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         )
         return 2
 
-    policy = ReleasePolicy(PrivilegeLattice())
     try:
-        for name, dominates in dict(script.get("lattice", {})).items():
-            policy.lattice.add(name, dominates=list(dominates))
-        for node_id, privilege in dict(script.get("lowest", {})).items():
-            policy.set_lowest(node_id, privilege)
+        policy = build_policy(script)
         privilege = args.privilege or script.get("privilege") or policy.lattice.public
         service = ProtectionService(graph, policy)
         session = service.edit(privilege)

@@ -130,6 +130,11 @@ def build_policy(spec: Mapping[str, Any]) -> ReleasePolicy:
     if not isinstance(lattice, Mapping) or not isinstance(lowest, Mapping):
         raise BadRequestError("'lattice' and 'lowest' must be objects")
     for name, dominates in lattice.items():
+        if not isinstance(dominates, list):
+            raise BadRequestError(
+                f"'lattice' maps each privilege to a list of the privileges it"
+                f" dominates; {name!r} maps to {dominates!r}"
+            )
         policy.lattice.add(name, dominates=list(dominates))
     for node_id, privilege in lowest.items():
         policy.set_lowest(node_id, privilege)

@@ -270,6 +270,21 @@ def test_unknown_privilege_maps_to_400(client: ApiClient) -> None:
     assert "NoSuchTier" in response.body["error"]["message"]
 
 
+#: Policy specs that cannot be read, each answered 400.
+MALFORMED_POLICIES = {
+    "lattice-not-an-object": {"lattice": [1, 2]},
+    "dominates-not-a-list": {"lattice": {"Confidential": 5}},
+    "dominates-a-string": {"lattice": {"Confidential": "Public"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES))
+def test_malformed_policy_spec_is_400(client: ApiClient, case: str) -> None:
+    response = client.post("/v1/protect", protect_body(**MALFORMED_POLICIES[case]))
+    assert response.status == 400
+    assert response.body["error"]["kind"] == "BadRequestError"
+
+
 def test_unknown_route_is_404(client: ApiClient) -> None:
     response = client.post("/v1/frobnicate", {})
     assert response.status == 404

@@ -4,9 +4,19 @@ import json
 
 import pytest
 
+from repro.api.service import ProtectionService
 from repro.cli import build_parser, main
+from repro.graph.builders import GraphBuilder
 from repro.graph.serialization import load_graph, save_graph
+from repro.server.encoding import build_policy, decode_protection_request, result_payload
 from repro.workloads.social import figure1_graph
+
+#: Policy specs that cannot be read: a structured error, never a traceback.
+MALFORMED_POLICIES = {
+    "lattice-not-an-object": {"lattice": [1, 2]},
+    "dominates-not-a-list": {"lattice": {"Confidential": 5}},
+    "dominates-a-string": {"lattice": {"Confidential": "Public"}},
+}
 
 
 class TestParser:
@@ -232,6 +242,76 @@ class TestEditCommand:
         second = json.loads(capsys.readouterr().out)
         assert first["maintenance"]["edit_session"] == {"delta_applied": 1}
         assert second["maintenance"]["edit_session"] == {"delta_applied": 1}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES))
+    def test_edit_malformed_policy_is_a_structured_error(self, tmp_path, capsys, case):
+        source, script = self.write_inputs(
+            tmp_path, [{"op": "add_edge", "source": "b", "target": "g"}],
+            script_extra=MALFORMED_POLICIES[case],
+        )
+        assert main(["edit", str(source), str(script)]) == 1
+        output = capsys.readouterr().out
+        assert output.startswith("error: ") and output.count("\n") == 1
+        assert main(["edit", str(source), str(script), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "BadRequestError"
+
+
+class TestServeBatchCommand:
+    SPEC = {
+        "lattice": {"Confidential": ["Public"]},
+        "lowest": {"g": "Confidential"},
+        "requests": [
+            {"graph": "figure1", "privilege": "Public"},
+            {"graph": "figure1", "privileges": ["Public"], "strategy": "hide"},
+            {"graph": "chain", "privilege": "Confidential", "protect_edges": [["b", "c"]]},
+        ],
+    }
+
+    def write_spec(self, tmp_path, **changes):
+        graphs = {"figure1": figure1_graph(), "chain": GraphBuilder("chain").chain("abcd").build()}
+        spec = dict(self.SPEC, graphs={}, **changes)
+        for name, graph in graphs.items():
+            save_graph(graph, tmp_path / f"{name}.json")
+            spec["graphs"][name] = str(tmp_path / f"{name}.json")
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(spec))
+        return path, spec
+
+    def test_repeat_serves_every_request_from_the_cache(self, tmp_path, capsys):
+        path, _spec = self.write_spec(tmp_path)
+        assert main(["serve-batch", str(path), "--repeat", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all("cache_hit=1" in line for line in lines[:3])
+        assert lines[3].startswith("cache: 3 hits / 3 misses")
+
+    def test_json_results_equal_in_process_payloads(self, tmp_path, capsys):
+        path, spec = self.write_spec(tmp_path)
+        assert main(["serve-batch", str(path), "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        graphs = {name: load_graph(file) for name, file in spec["graphs"].items()}
+        service = ProtectionService(None, build_policy(spec))
+        expected = service.protect_many(
+            [decode_protection_request(entry, graphs[entry["graph"]]) for entry in spec["requests"]]
+        )
+        for served, result in zip(results, expected):
+            del served["timings_ms"]
+            assert served == json.loads(json.dumps(result_payload(result), default=str))
+        assert len(results) == len(expected) == 3
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"graph": "figure1", "privilege": "Public", "frobnicate": True},
+            {"graph": "figure1"},
+            {"graph": "nowhere", "privilege": "Public"},
+        ],
+        ids=["unknown-field", "missing-privilege", "unknown-graph"],
+    )
+    def test_bad_request_entries_exit_2(self, tmp_path, capsys, entry):
+        path, _spec = self.write_spec(tmp_path, requests=[entry])
+        assert main(["serve-batch", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("error: bad batch request")
 
 
 class TestServeCommand:
