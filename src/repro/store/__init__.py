@@ -13,10 +13,10 @@ this package provides the equivalent substrate on SQLite:
 * :mod:`repro.store.transactions` — atomic multi-operation batches;
 * :mod:`repro.store.catalog` — the named-graph catalog;
 * :mod:`repro.store.engine` — the :class:`~repro.store.engine.GraphStore`
-  facade with phase timing instrumentation used by the Figure-10 benchmark.
+  facade the Figure-10 benchmark drives.
 """
 
-from repro.store.engine import GraphStore, PhaseTimer, StoreStats
+from repro.store.engine import GraphStore, StoreStats
 from repro.store.sqlite import LogRecord, RecoveryReport
 from repro.store.transactions import Transaction
 from repro.store.catalog import Catalog, GraphDescriptor
@@ -24,7 +24,6 @@ from repro.store.index import FeatureIndex
 
 __all__ = [
     "GraphStore",
-    "PhaseTimer",
     "StoreStats",
     "RecoveryReport",
     "Transaction",

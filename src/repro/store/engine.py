@@ -1,10 +1,8 @@
-"""The :class:`GraphStore` facade and its phase-timing instrumentation.
+"""The :class:`GraphStore` facade.
 
 The store engine is what the PLUS substrate and the Figure-10 benchmark talk
-to: named graphs with logged mutations, a lazily built feature index, simple
-transactions and a :class:`PhaseTimer` that records how long each phase of
-an operation takes (the paper's "DB Access" / "Build Graph" / "Protect via
-Hide" / "Protect via Surrogate" bars).  Every store runs on SQLite
+to: named graphs with logged mutations, a lazily built feature index and
+simple transactions.  Every store runs on SQLite
 (:mod:`repro.store.sqlite`): one database per durable root, or a
 ``:memory:`` database when no directory is given.
 """
@@ -12,11 +10,9 @@ Hide" / "Protect via Surrogate" bars).  Every store runs on SQLite
 from __future__ import annotations
 
 import hashlib
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Union
 
 from repro.exceptions import (
     DuplicateEdgeError,
@@ -58,46 +54,6 @@ def _tenant_dirname(tenant: str) -> str:
     safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in tenant)
     digest = hashlib.sha256(tenant.encode("utf-8")).hexdigest()[:12]
     return f"{safe.strip('.') or 'tenant'}-{digest}"
-
-
-class PhaseTimer:
-    """Accumulates wall-clock durations per named phase (milliseconds)."""
-
-    def __init__(self) -> None:
-        self._totals_ms: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time one phase: ``with timer.phase("db_access"): ...``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self._totals_ms[name] = self._totals_ms.get(name, 0.0) + elapsed_ms
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def record(self, name: str, elapsed_ms: float) -> None:
-        """Record an externally measured duration."""
-        self._totals_ms[name] = self._totals_ms.get(name, 0.0) + elapsed_ms
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def total_ms(self, name: Optional[str] = None) -> float:
-        """Total milliseconds for one phase (or across all phases)."""
-        if name is None:
-            return sum(self._totals_ms.values())
-        return self._totals_ms.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Phase → total milliseconds (plus ``"total"``)."""
-        result = {name: round(value, 3) for name, value in self._totals_ms.items()}
-        result["total"] = round(self.total_ms(), 3)
-        return result
-
-    def reset(self) -> None:
-        self._totals_ms.clear()
-        self._counts.clear()
 
 
 @dataclass
@@ -163,7 +119,6 @@ class GraphStore:
                 read_only=read_only,
             )
         )
-        self.timer = PhaseTimer()
         self.stats = StoreStats()
         #: Owning tenant; stamped on every catalog descriptor this engine
         #: creates so multi-tenant registries can audit who owns what.
@@ -210,10 +165,9 @@ class GraphStore:
     def create_graph(self, name: str, *, kind: str = "graph", description: str = "") -> str:
         """Create an empty named graph and its indexes."""
         self._require_writable("create a graph")
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.create_graph(name, kind=kind, description=description)
-            )
+        self._durable(
+            lambda: self.storage.create_graph(name, kind=kind, description=description)
+        )
         self._stamp_tenant(name)
         self._durable(self.storage.save_catalog)
         self._features.pop(name, None)
@@ -222,12 +176,11 @@ class GraphStore:
     def put_graph(self, graph: PropertyGraph, *, name: Optional[str] = None) -> str:
         """Store a prebuilt graph wholesale (snapshot write when durable)."""
         self._require_writable("store a graph")
-        with self.timer.phase("db_access"):
-            # Defer the catalog write until after the tenant stamp so one
-            # put costs one catalog save, not two.
-            stored_name = self._durable(
-                lambda: self.storage.put_graph(graph, name=name, save_catalog=False)
-            )
+        # Defer the catalog write until after the tenant stamp so one
+        # put costs one catalog save, not two.
+        stored_name = self._durable(
+            lambda: self.storage.put_graph(graph, name=name, save_catalog=False)
+        )
         self._stamp_tenant(stored_name)
         self.storage.save_catalog()
         self._features.pop(stored_name, None)
@@ -238,15 +191,13 @@ class GraphStore:
     def drop_graph(self, name: str) -> None:
         """Remove a named graph, its indexes and its snapshot."""
         self._require_writable("drop a graph")
-        with self.timer.phase("db_access"):
-            self.storage.drop_graph(name)
+        self.storage.drop_graph(name)
         self._features.pop(name, None)
 
     def graph(self, name: str) -> PropertyGraph:
         """A *copy* of the stored graph (callers cannot corrupt store state)."""
-        with self.timer.phase("db_access"):
-            stored = self.storage.graph(name)
-            copy = stored.copy()
+        stored = self.storage.graph(name)
+        copy = stored.copy()
         self.stats.nodes_read += copy.node_count()
         return copy
 
@@ -259,8 +210,7 @@ class GraphStore:
     def checkpoint(self) -> None:
         """Snapshot every graph and truncate the write log (durable stores only)."""
         self._require_writable("checkpoint the store")
-        with self.timer.phase("db_access"):
-            self._durable(self.storage.checkpoint)
+        self._durable(self.storage.checkpoint)
 
     def health(self) -> Dict[str, Any]:
         """The store's condition: durability, write-log depth, last recovery.
@@ -305,15 +255,14 @@ class GraphStore:
         graph = self.storage.graph(graph_name)
         if graph.has_node(node_id):
             raise DuplicateNodeError(node_id)
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.log(
-                    "add_node",
-                    graph_name,
-                    {"id": node_id, "kind": kind, "features": dict(features or {})},
-                )
+        self._durable(
+            lambda: self.storage.log(
+                "add_node",
+                graph_name,
+                {"id": node_id, "kind": kind, "features": dict(features or {})},
             )
-            graph.add_node(node_id, kind=kind, features=features)
+        )
+        graph.add_node(node_id, kind=kind, features=features)
         index = self._features.get(graph_name)
         if index is not None:
             index.index_node(node_id, dict(features or {}))
@@ -340,15 +289,14 @@ class GraphStore:
             raise NodeNotFoundError(target)
         if graph.has_edge(source, target):
             raise DuplicateEdgeError(source, target)
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.log(
-                    "add_edge",
-                    graph_name,
-                    {"source": source, "target": target, "label": label, "features": dict(features or {})},
-                )
+        self._durable(
+            lambda: self.storage.log(
+                "add_edge",
+                graph_name,
+                {"source": source, "target": target, "label": label, "features": dict(features or {})},
             )
-            graph.add_edge(source, target, label=label, features=features)
+        )
+        graph.add_edge(source, target, label=label, features=features)
         self.stats.edges_written += 1
         self._refresh(graph_name)
 
@@ -358,11 +306,10 @@ class GraphStore:
         graph = self.storage.graph(graph_name)
         if not graph.has_node(node_id):
             raise NodeNotFoundError(node_id)
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.log("remove_node", graph_name, {"id": node_id})
-            )
-            graph.remove_node(node_id)
+        self._durable(
+            lambda: self.storage.log("remove_node", graph_name, {"id": node_id})
+        )
+        graph.remove_node(node_id)
         index = self._features.get(graph_name)
         if index is not None:
             index.remove_node(node_id)
@@ -374,13 +321,12 @@ class GraphStore:
         graph = self.storage.graph(graph_name)
         if not graph.has_edge(source, target):
             raise EdgeNotFoundError(source, target)
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.log(
-                    "remove_edge", graph_name, {"source": source, "target": target}
-                )
+        self._durable(
+            lambda: self.storage.log(
+                "remove_edge", graph_name, {"source": source, "target": target}
             )
-            graph.remove_edge(source, target)
+        )
+        graph.remove_edge(source, target)
         self._refresh(graph_name)
 
     def set_node_features(self, graph_name: str, node_id: NodeId, features: Mapping[str, Any]) -> None:
@@ -389,13 +335,12 @@ class GraphStore:
         graph = self.storage.graph(graph_name)
         if not graph.has_node(node_id):
             raise NodeNotFoundError(node_id)
-        with self.timer.phase("db_access"):
-            self._durable(
-                lambda: self.storage.log(
-                    "set_node_features", graph_name, {"id": node_id, "features": dict(features)}
-                )
+        self._durable(
+            lambda: self.storage.log(
+                "set_node_features", graph_name, {"id": node_id, "features": dict(features)}
             )
-            graph.set_node_features(node_id, features)
+        )
+        graph.set_node_features(node_id, features)
         index = self._features.get(graph_name)
         if index is not None:
             index.index_node(node_id, dict(features))
@@ -411,26 +356,25 @@ class GraphStore:
 
         def _apply(transaction: Transaction) -> None:
             graph = self.storage.graph(graph_name)
-            with self.timer.phase("db_access"):
-                # Crash-safe commit protocol: validate the whole batch on a
-                # scratch copy, make it durable as ONE framed ``txn`` record
-                # (a single fsynced append — the atomic commit point), then
-                # apply to the live graph.  A crash before the append loses
-                # the batch wholesale; after it, replay applies the batch
-                # wholesale.  No schedule exposes a partial transaction.
-                validate_operations(graph, transaction.operations)
-                applied = [
-                    {"op": operation.op, "payload": dict(operation.payload)}
-                    for operation in transaction.operations
-                ]
-                self._durable(
-                    lambda: self.storage.log("txn", graph_name, {"operations": applied})
-                )
-                # The batch mirrors the log record's atomicity for every
-                # delta subscriber: one composite delta, one version bump,
-                # one interval re-encode — not one per operation.
-                with graph.batch():
-                    apply_to(graph, transaction.operations)
+            # Crash-safe commit protocol: validate the whole batch on a
+            # scratch copy, make it durable as ONE framed ``txn`` record
+            # (a single fsynced append — the atomic commit point), then
+            # apply to the live graph.  A crash before the append loses
+            # the batch wholesale; after it, replay applies the batch
+            # wholesale.  No schedule exposes a partial transaction.
+            validate_operations(graph, transaction.operations)
+            applied = [
+                {"op": operation.op, "payload": dict(operation.payload)}
+                for operation in transaction.operations
+            ]
+            self._durable(
+                lambda: self.storage.log("txn", graph_name, {"operations": applied})
+            )
+            # The batch mirrors the log record's atomicity for every
+            # delta subscriber: one composite delta, one version bump,
+            # one interval re-encode — not one per operation.
+            with graph.batch():
+                apply_to(graph, transaction.operations)
             self._features.pop(graph_name, None)
             self.stats.transactions_committed += 1
             self.stats.nodes_written += sum(
@@ -480,8 +424,7 @@ class GraphStore:
         if direction not in {"ancestors", "descendants"}:
             raise ValueError(f"direction must be 'ancestors' or 'descendants', got {direction!r}")
         self.stats.queries_answered += 1
-        with self.timer.phase("query"):
-            return self.storage.sql_lineage(graph_name, node_id, direction=direction)
+        return self.storage.sql_lineage(graph_name, node_id, direction=direction)
 
     def search_nodes(self, graph_name: str, query: str) -> Set[NodeId]:
         """Text search over node kinds and features.
@@ -490,8 +433,7 @@ class GraphStore:
         compiled in, a case-insensitive substring scan otherwise.
         """
         self.stats.queries_answered += 1
-        with self.timer.phase("query"):
-            return self.storage.search_nodes(graph_name, query)
+        return self.storage.search_nodes(graph_name, query)
 
     def list_accounts(self, *, tenant: Optional[str] = None) -> List[Dict[str, Any]]:
         """Summaries of every protected account held by this store."""

@@ -10,7 +10,7 @@ on: a failed batch leaves the stored graph untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.exceptions import TransactionError
 from repro.graph.model import NodeId, PropertyGraph
@@ -140,19 +140,6 @@ def validate_operations(graph: PropertyGraph, operations: List[_Operation]) -> N
 def apply_to(graph: PropertyGraph, operations: List[_Operation]) -> None:
     """Apply an already-validated batch to the live graph."""
     _apply_to(graph, operations)
-
-
-def apply_operations(graph: PropertyGraph, operations: List[_Operation]) -> List[Tuple[str, Dict[str, Any]]]:
-    """Validate and apply a batch to ``graph``; returns (op, payload) pairs applied.
-
-    Validation happens against a scratch copy first so a mid-batch error
-    cannot leave the live graph half-updated.  (The engine now logs batches
-    as one ``txn`` record via :func:`validate_operations` + :func:`apply_to`;
-    this combined helper remains for direct library use.)
-    """
-    validate_operations(graph, operations)
-    _apply_to(graph, operations)
-    return [(operation.op, dict(operation.payload)) for operation in operations]
 
 
 def _apply_to(graph: PropertyGraph, operations: List[_Operation]) -> None:

@@ -9,7 +9,6 @@ file-engine roots in ``test_legacy_import.py``.
 import pytest
 
 from repro.exceptions import CatalogError, StoreError, TransactionError
-from repro.store.engine import PhaseTimer
 
 from tests.store.conftest import in_memory_and_durable
 
@@ -344,20 +343,6 @@ class TestTransactions:
             txn.add_node("a").add_node("b").add_edge("a", "b")
         reopened = make_store(tmp_path)
         assert reopened.graph("g").has_edge("a", "b")
-
-
-class TestPhaseTimer:
-    def test_phase_accumulation(self):
-        timer = PhaseTimer()
-        with timer.phase("db_access"):
-            pass
-        timer.record("query", 5.0)
-        timer.record("query", 2.5)
-        assert timer.total_ms("query") == pytest.approx(7.5)
-        assert timer.total_ms() >= 7.5
-        assert timer.as_dict()["total"] >= 7.5
-        timer.reset()
-        assert timer.total_ms() == 0.0
 
 
 class TestStoreQueries:
