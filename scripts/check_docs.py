@@ -9,8 +9,8 @@ D-rule pass; this script is the always-available baseline):
    exists.  External (``http``/``https``/``mailto``) and pure-anchor links
    are skipped; fragments are stripped before the existence check.
 2. **Docstring check** — every module, public class and public function or
-   method under ``src/repro/api/`` (plus ``src/repro/__init__.py``) must
-   carry a docstring.  This mirrors pydocstyle's D1xx missing-docstring
+   method under ``src/repro/api/`` (plus ``src/repro/__init__.py`` and the
+   shared table codec ``src/repro/codec.py``) must carry a docstring.  This mirrors pydocstyle's D1xx missing-docstring
    rules; ``tests/api/test_docstrings.py`` runs the same walk in the test
    suite.
 
@@ -31,7 +31,8 @@ MARKDOWN = sorted(REPO.glob("*.md")) + sorted((REPO / "docs").glob("*.md"))
 
 #: Python files whose public surface must be documented.
 API_FILES = sorted((REPO / "src" / "repro" / "api").glob("*.py")) + [
-    REPO / "src" / "repro" / "__init__.py"
+    REPO / "src" / "repro" / "__init__.py",
+    REPO / "src" / "repro" / "codec.py",
 ]
 
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")

@@ -1,26 +1,39 @@
-"""Packed-column codecs shared by the checkpoint and account serialisers.
+"""The table codec: how tables of ids and numbers sit inside JSON.
 
-This module is a dependency leaf (only :mod:`repro.exceptions`), so both
-the store layer and the API layer can use it without import cycles.
+Three formats use it: the service checkpoint body
+(:mod:`repro.api.checkpoints`), the protected-account metadata
+(:mod:`repro.api.persistence`, read back by the store's account tables)
+and the delta-log rows followers tail (:mod:`repro.replication.wire`).
+This module is a dependency leaf (only :mod:`repro.exceptions`), so the
+store, API and replication layers all use it without import cycles.
 
-Row-per-entity JSON dominates both checkpoint payloads and account
-metadata sidecars: hundreds of thousands of parser tokens on the way in,
-and a Python-level loop per row on the way out.  Packed as tab-joined
-*columns* inside single JSON strings the same tables parse at memcpy
-speed and decode with bulk C operations only — ``str.split``,
-``map(float, ...)``, ``zip``, ``dict.fromkeys``.
+Row-per-entity JSON would dominate those payloads: hundreds of thousands
+of parser tokens on the way in, and a Python-level loop per row on the way
+out.  Packed as separator-joined *columns* inside single JSON strings the
+same tables parse at memcpy speed and decode with bulk C operations only —
+``str.split``, ``map(float, ...)``, ``zip``, ``dict.fromkeys``.  Two pairs
+cover every table:
+
+* :func:`pack_table` / :func:`unpack_table` — equal-length string or
+  numeric columns next to a row count ``"n"``.  When a column will not
+  pack (exotic node ids), the table is written as its rows, and a
+  one-column table as a flat list; the unpacker accepts every shape.
+* :func:`pack_groups` / :func:`unpack_groups` — a ``{key: value}`` map
+  with few distinct values, as ``[value text, count, *key columns]``
+  groups.  Given the keys it already holds (a graph's nodes or edges),
+  the decoder rebuilds the largest group from them instead of decoding it.
 
 ``None`` fields ride as a NUL sentinel; tabs/newlines/backslashes (and
 the separator) inside fields are escaped (a column takes the slow
 unescape path only when its packed text actually contains an escape or
-sentinel).  Every packer returns ``None`` when a column is not uniformly
-typed (exotic node ids); the caller falls back to plain JSON rows, and
-every unpacker accepts both shapes.
+sentinel).  Numeric columns are type-tagged ``repr`` text, so ints and
+floats round-trip exactly.
 
-Fields are tab-separated by default.  A column that travels inside a JSON
-string can use :data:`JSON_SEP` instead: JSON escapes every tab (and every
-non-printable character), and decoding one escape per field is most of
-the cost of parsing a packed column.
+Fields are tab-separated by default, as in the account metadata and the
+delta rows.  A column that travels inside a JSON string can use
+:data:`JSON_SEP` instead, as the checkpoint body does: JSON escapes every
+tab (and every non-printable character), and decoding one escape per
+field is most of the cost of parsing a packed column.
 """
 
 from __future__ import annotations
