@@ -398,9 +398,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 def _batch_request(entry: dict, graphs: Dict[str, object]) -> ProtectionRequest:
     """One batch-spec entry as a request on the graph its ``graph`` names."""
     graph_name = entry.get("graph") if isinstance(entry, dict) else None
-    if graph_name is not None and graph_name not in graphs:
+    graph = graphs.get(graph_name) if isinstance(graph_name, str) else None
+    if graph_name is not None and graph is None:
         raise BadRequestError(f"request names unknown graph {graph_name!r}")
-    return decode_protection_request(entry, graphs.get(graph_name))
+    return decode_protection_request(entry, graph)
 
 
 def _stats_since(

@@ -305,8 +305,9 @@ class TestServeBatchCommand:
             {"graph": "figure1", "privilege": "Public", "frobnicate": True},
             {"graph": "figure1"},
             {"graph": "nowhere", "privilege": "Public"},
+            {"graph": ["figure1"], "privilege": "Public"},
         ],
-        ids=["unknown-field", "missing-privilege", "unknown-graph"],
+        ids=["unknown-field", "missing-privilege", "unknown-graph", "graph-not-a-name"],
     )
     def test_bad_request_entries_exit_2(self, tmp_path, capsys, entry):
         path, _spec = self.write_spec(tmp_path, requests=[entry])
