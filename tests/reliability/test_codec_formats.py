@@ -67,8 +67,8 @@ def six_node_family(ids):
         (one, plain, "used"),
     ]:
         graph.add_edge(source, target, label=label)
-    _lattice, privileges = figure1_lattice()
-    policy = ReleasePolicy(_lattice)
+    lattice, privileges = figure1_lattice()
+    policy = ReleasePolicy(lattice)
     policy.protect_node(graph, tab, privileges["Low-2"], lowest=privileges["High-1"])
     policy.protect_edge((pipe, slash), privileges["Low-2"])
     return graph, policy, privileges["Low-2"]

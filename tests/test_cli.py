@@ -306,8 +306,15 @@ class TestServeBatchCommand:
             {"graph": "figure1"},
             {"graph": "nowhere", "privilege": "Public"},
             {"graph": ["figure1"], "privilege": "Public"},
+            {"graph": "figure1", "privilege": "Public", "strategy": "shred"},
         ],
-        ids=["unknown-field", "missing-privilege", "unknown-graph", "graph-not-a-name"],
+        ids=[
+            "unknown-field",
+            "missing-privilege",
+            "unknown-graph",
+            "graph-not-a-name",
+            "unknown-strategy",
+        ],
     )
     def test_bad_request_entries_exit_2(self, tmp_path, capsys, entry):
         path, _spec = self.write_spec(tmp_path, requests=[entry])
