@@ -143,8 +143,8 @@ class SQLiteWriteLog:
             (seq, self._next_seq),
         ).fetchall()
         return [
-            LogRecord(seq=seq, op=op, graph=graph, payload=json.loads(payload))
-            for seq, op, graph, payload in rows
+            LogRecord(seq=number, op=op, graph=graph, payload=json.loads(payload))
+            for number, op, graph, payload in rows
         ]
 
     def __len__(self) -> int:
