@@ -15,7 +15,7 @@ and prints the corresponding rows/series (visible with ``-s`` or in the
 captured output of a failing shape check).
 
 ``test_bench_scaling.py`` is different: it times the *pipeline* —
-``generate_protected_account`` + ``utility_report`` over the compiled
+``build_protected_account`` + ``utility_report`` over the compiled
 per-privilege protection views — at 500/2 000/8 000 nodes and writes a
 ``BENCH_scaling.json`` trajectory point at the repo root, so perf PRs have
 comparable before/after numbers.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
 from repro.workloads.synthetic import SyntheticGraphSpec, synthetic_graph
@@ -35,7 +35,7 @@ def medium_instance():
 def test_bench_generation_with_surrogate_edges(benchmark, medium_instance):
     policy = _protected_policy(medium_instance.graph, medium_instance.protected_edges)
     account = benchmark(
-        generate_protected_account, medium_instance.graph, policy, policy.lattice.public
+        build_protected_account, medium_instance.graph, policy, policy.lattice.public
     )
     assert account.surrogate_edges
 
@@ -44,7 +44,7 @@ def test_bench_generation_with_surrogate_edges(benchmark, medium_instance):
 def test_bench_generation_without_surrogate_edges(benchmark, medium_instance):
     policy = _protected_policy(medium_instance.graph, medium_instance.protected_edges)
     account = benchmark(
-        lambda: generate_protected_account(
+        lambda: build_protected_account(
             medium_instance.graph, policy, policy.lattice.public, include_surrogate_edges=False
         )
     )
@@ -55,7 +55,7 @@ def test_bench_generation_without_surrogate_edges(benchmark, medium_instance):
 def test_bench_generation_with_connectivity_repair(benchmark, medium_instance):
     policy = _protected_policy(medium_instance.graph, medium_instance.protected_edges)
     account = benchmark.pedantic(
-        lambda: generate_protected_account(
+        lambda: build_protected_account(
             medium_instance.graph,
             policy,
             policy.lattice.public,
@@ -81,6 +81,6 @@ def test_bench_generation_scaling(benchmark, node_count):
     )
     policy = _protected_policy(instance.graph, instance.protected_edges)
     account = benchmark(
-        generate_protected_account, instance.graph, policy, policy.lattice.public
+        build_protected_account, instance.graph, policy, policy.lattice.public
     )
     assert account.graph.node_count() == node_count

@@ -61,17 +61,21 @@ def test_bench_protect_via_surrogate_only(benchmark):
     instance = synthetic_graph(
         SyntheticGraphSpec(node_count=200, target_connected_pairs=60, protect_fraction=0.2, seed=6)
     )
+    from repro.api import ProtectionService
     from repro.core.policy import ReleasePolicy
     from repro.core.privileges import PrivilegeLattice
-    from repro.core.generation import ProtectionEngine
 
-    policy = ReleasePolicy(PrivilegeLattice())
-    engine = ProtectionEngine(policy)
+    service = ProtectionService(instance.graph, ReleasePolicy(PrivilegeLattice()))
 
     def protect():
-        return engine.with_edge_protection(
-            instance.graph, instance.protected_edges, policy.lattice.public, strategy="surrogate"
-        )
+        # use_cache=False: an account-cache hit would answer every round after the first.
+        return service.protect(
+            privilege="Public",
+            protect_edges=instance.protected_edges,
+            strategy="surrogate",
+            score=False,
+            use_cache=False,
+        ).account
 
     account = benchmark(protect)
     assert account.graph.node_count() == 200
@@ -83,17 +87,21 @@ def test_bench_protect_via_hide_only(benchmark):
     instance = synthetic_graph(
         SyntheticGraphSpec(node_count=200, target_connected_pairs=60, protect_fraction=0.2, seed=6)
     )
+    from repro.api import ProtectionService
     from repro.core.policy import ReleasePolicy
     from repro.core.privileges import PrivilegeLattice
-    from repro.core.generation import ProtectionEngine
 
-    policy = ReleasePolicy(PrivilegeLattice())
-    engine = ProtectionEngine(policy)
+    service = ProtectionService(instance.graph, ReleasePolicy(PrivilegeLattice()))
 
     def protect():
-        return engine.with_edge_protection(
-            instance.graph, instance.protected_edges, policy.lattice.public, strategy="hide"
-        )
+        # use_cache=False: an account-cache hit would answer every round after the first.
+        return service.protect(
+            privilege="Public",
+            protect_edges=instance.protected_edges,
+            strategy="hide",
+            score=False,
+            use_cache=False,
+        ).account
 
     account = benchmark(protect)
     assert account.surrogate_edges == set()

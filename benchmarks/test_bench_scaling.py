@@ -1,6 +1,6 @@
 """Scaling benchmark: the full read path across graph sizes.
 
-Times ``generate_protected_account`` + ``utility_report`` — the inner loop
+Times ``build_protected_account`` + ``utility_report`` — the inner loop
 of every experiment driver — on the seeded synthetic family at 500, 2 000
 and 8 000 nodes, and writes a ``BENCH_scaling.json`` trajectory point so
 this and future perf PRs have comparable before/after numbers.
@@ -76,7 +76,7 @@ import time
 import pytest
 
 from repro.api import ProtectionRequest, ProtectionService
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.opacity import (
     AdvancedAdversary,
     hidden_edges,
@@ -172,7 +172,7 @@ def build_workload(node_count, edge_count, seed=_SEED):
 def protect_and_score(graph, policy, consumer):
     """One unit of benchmark work: account generation + both utility measures."""
     policy.markings.touch()  # defeat the compiled-view cache: time a cold pipeline
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     return account, utility_report(graph, account)
 
 
@@ -413,7 +413,7 @@ def measure_incremental():
         edge = graph.remove_edge(*rng.choice(graph.edge_keys()))
         start = time.perf_counter()
         policy.markings.touch()  # defeat every compiled view: a cold pipeline
-        account = generate_protected_account(graph, policy, consumer)
+        account = build_protected_account(graph, policy, consumer)
         utility_report(graph, account)
         opacity_report(graph, account)
         baseline_times.append(time.perf_counter() - start)

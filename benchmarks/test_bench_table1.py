@@ -49,14 +49,14 @@ def test_bench_naive_account_generation(benchmark):
 @pytest.mark.benchmark(group="table1")
 def test_bench_surrogate_account_generation(benchmark):
     """Time the Figure-2(b) surrogate account generation (the paper's headline case)."""
-    from repro.core.generation import generate_protected_account
+    from repro.core.generation import build_protected_account
     from repro.core.utility import path_utility
     from repro.workloads.social import figure2_variant
 
     example = figure2_variant("b")
 
     def build():
-        return generate_protected_account(example.graph, example.policy, example.high2)
+        return build_protected_account(example.graph, example.policy, example.high2)
 
     account = benchmark(build)
     assert account.is_surrogate_edge("c", "g")

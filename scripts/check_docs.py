@@ -9,10 +9,12 @@ D-rule pass; this script is the always-available baseline):
    exists.  External (``http``/``https``/``mailto``) and pure-anchor links
    are skipped; fragments are stripped before the existence check.
 2. **Docstring check** — every module, public class and public function or
-   method under ``src/repro/api/`` (plus ``src/repro/__init__.py`` and the
-   shared table codec ``src/repro/codec.py``) must carry a docstring.  This mirrors pydocstyle's D1xx missing-docstring
-   rules; ``tests/api/test_docstrings.py`` runs the same walk in the test
-   suite.
+   method under ``src/repro/api/`` (plus ``src/repro/__init__.py``, the
+   shared table codec ``src/repro/codec.py`` and the algorithm entry points
+   in ``src/repro/core/generation.py``, ``multi.py`` and ``hiding.py``)
+   must carry a docstring.  This mirrors pydocstyle's D1xx
+   missing-docstring rules; ``tests/api/test_docstrings.py`` runs the same
+   walk in the test suite.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
@@ -33,6 +35,9 @@ MARKDOWN = sorted(REPO.glob("*.md")) + sorted((REPO / "docs").glob("*.md"))
 API_FILES = sorted((REPO / "src" / "repro" / "api").glob("*.py")) + [
     REPO / "src" / "repro" / "__init__.py",
     REPO / "src" / "repro" / "codec.py",
+    REPO / "src" / "repro" / "core" / "generation.py",
+    REPO / "src" / "repro" / "core" / "multi.py",
+    REPO / "src" / "repro" / "core" / "hiding.py",
 ]
 
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")

@@ -49,9 +49,9 @@ mutate → commit loop re-protects and re-scores interactively::
         result = session.commit()             # patched, not recompiled
         result.timings_ms["delta_apply"]
 
-The older free functions (``generate_protected_account``,
-``generate_multi_privilege_account``) remain available as deprecated shims
-that delegate to the service; the underlying measures (``path_utility``,
+Below the service, Algorithm 1 itself is :func:`build_protected_account`
+(one consumer class) and :func:`build_multi_privilege_account` (several
+incomparable classes); they and the measures (``path_utility``,
 ``opacity``, ...) are stable API.
 """
 
@@ -76,17 +76,9 @@ from repro.core.policy import (
     STRATEGY_SURROGATE,
 )
 from repro.core.protected_account import ProtectedAccount
-from repro.core.generation import (
-    ProtectionEngine,
-    build_protected_account,
-    generate_protected_account,
-)
-from repro.core.multi import (
-    build_multi_privilege_account,
-    generate_multi_privilege_account,
-    merge_accounts,
-)
-from repro.core.hiding import hide_protected_account, naive_protected_account
+from repro.core.generation import build_protected_account
+from repro.core.multi import build_multi_privilege_account, merge_accounts
+from repro.core.hiding import naive_protected_account
 from repro.core.utility import (
     UtilityReport,
     node_utility,
@@ -144,13 +136,9 @@ __all__ = [
     "STRATEGY_SURROGATE",
     # account generation
     "ProtectedAccount",
-    "ProtectionEngine",
     "build_protected_account",
     "build_multi_privilege_account",
-    "generate_protected_account",
-    "generate_multi_privilege_account",
     "merge_accounts",
-    "hide_protected_account",
     "naive_protected_account",
     # measures
     "path_utility",

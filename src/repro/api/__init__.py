@@ -35,10 +35,6 @@ graph) and the ScoreCard next to the store; a restarted service calls
 write-log delta catch-up instead of recompiling O(V+E) state — with
 :meth:`ProtectionService.health` reporting how the restore (and the rest
 of the serving stack) fared.  See ``docs/reliability.md``.
-
-The old free functions (``generate_protected_account``,
-``generate_multi_privilege_account``) survive as deprecated shims that
-delegate here.
 """
 
 from repro.api.cache import AccountCache, CacheStats, DEFAULT_CACHE_CAPACITY, DEFAULT_TENANT

@@ -3,9 +3,9 @@
 A :class:`ProtectionRequest` captures everything one protection run needs —
 the consumer classes, the strategy, the edges to protect, the repair mode,
 and how the resulting account should be scored and persisted — as one
-immutable value.  Call sites that used to stitch together
-``generate_protected_account`` + ``path_utility`` + ``opacity`` with ad-hoc
-keyword conventions now build one request and hand it to the service.
+immutable value, so a call site builds one request and hands it to the
+service instead of stitching together generation, ``path_utility`` and
+``opacity`` with ad-hoc keyword conventions.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class ProtectionRequest:
         Disable to skip the surrogate-edge step (ablations).
     repair_connectivity:
         Run the Definition-9.3 closure-repair pass (the
-        ``ensure_maximal_connectivity`` flag of the old free functions).
+        ``ensure_maximal_connectivity`` flag of
+        :func:`~repro.core.generation.build_protected_account`).
     name:
         Optional name for the account graph.
     score:
@@ -131,11 +132,6 @@ class ProtectionRequest:
     def with_options(self, **options: object) -> "ProtectionRequest":
         """A copy of this request with some fields replaced."""
         return replace(self, **options)  # type: ignore[arg-type]
-
-    @property
-    def multi_privilege(self) -> bool:
-        """True when the request asks for a merged multi-privilege account."""
-        return len(self.privileges) > 1
 
     def default_opacity_edges(self) -> Optional[Tuple[EdgeKey, ...]]:
         """The edge set opacity is scored over when none is given explicitly."""

@@ -783,9 +783,11 @@ class ProtectionService:
                     graph,
                     policy,
                     privileges,
+                    include_surrogate_edges=request.include_surrogate_edges,
                     ensure_maximal_connectivity=request.repair_connectivity,
                     strategy=request.strategy,
                     name=request.name,
+                    compiled=request.compiled,
                     walks_cache=walks_cache,
                 )
             return build_protected_account(

@@ -21,9 +21,10 @@ Modules
     (Definition 5) with its node-correspondence map.
 ``generation``
     The Surrogate Generation Algorithm (Appendix B, Algorithms 1–3).
+``multi``
+    Merged accounts for consumers satisfying several incomparable classes.
 ``hiding``
-    The "show/hide" baselines: the naive account of Figure 1(c) and
-    hide-only edge protection.
+    The naive all-or-nothing account of Figure 1(c).
 ``utility``
     Path Utility and Node Utility measures (Section 4.1, Figure 3).
 ``opacity``
@@ -39,17 +40,9 @@ from repro.core.markings import CompiledMarkingView, EdgeState, Marking, Marking
 from repro.core.permitted import VisibleWalkCache
 from repro.core.policy import ReleasePolicy
 from repro.core.protected_account import ProtectedAccount
-from repro.core.generation import (
-    ProtectionEngine,
-    build_protected_account,
-    generate_protected_account,
-)
-from repro.core.multi import (
-    build_multi_privilege_account,
-    generate_multi_privilege_account,
-    merge_accounts,
-)
-from repro.core.hiding import hide_protected_account, naive_protected_account
+from repro.core.generation import build_protected_account
+from repro.core.multi import build_multi_privilege_account, merge_accounts
+from repro.core.hiding import naive_protected_account
 from repro.core.utility import node_utility, path_percentage, path_utility, utility_report
 from repro.core.opacity import (
     AdvancedAdversary,
@@ -80,14 +73,10 @@ __all__ = [
     "VisibleWalkCache",
     "ReleasePolicy",
     "ProtectedAccount",
-    "ProtectionEngine",
     "build_protected_account",
     "build_multi_privilege_account",
-    "generate_protected_account",
-    "generate_multi_privilege_account",
     "merge_accounts",
     "naive_protected_account",
-    "hide_protected_account",
     "path_utility",
     "path_percentage",
     "node_utility",

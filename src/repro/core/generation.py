@@ -26,12 +26,11 @@ property-based tests in ``tests/property`` check exactly that.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, MutableMapping, Optional, Set, Tuple
+from typing import Dict, MutableMapping, Optional, Set, Tuple
 
 from repro.core.markings import EdgeState
 from repro.core.permitted import VisibleWalkCache, surrogate_edge_candidates
-from repro.core.policy import ReleasePolicy, STRATEGY_HIDE, STRATEGY_SURROGATE
+from repro.core.policy import ReleasePolicy, STRATEGY_SURROGATE
 from repro.core.privileges import Privilege
 from repro.core.protected_account import ProtectedAccount
 from repro.core.surrogates import null_surrogate
@@ -98,9 +97,8 @@ def build_protected_account(
 
     This is the canonical implementation behind
     :class:`repro.api.ProtectionService`; application code should go through
-    the service (or through :class:`ProtectionEngine`) rather than call this
-    directly, but the function is stable API for the other ``repro.core``
-    modules.
+    the service rather than call this directly, but the function is stable
+    API for the other ``repro.core`` modules.
 
     Parameters
     ----------
@@ -280,46 +278,6 @@ def _revalidate_walks(
     return walks
 
 
-def generate_protected_account(
-    graph: PropertyGraph,
-    policy: ReleasePolicy,
-    privilege: object,
-    *,
-    include_surrogate_edges: bool = True,
-    ensure_maximal_connectivity: bool = False,
-    strategy: str = STRATEGY_SURROGATE,
-    name: Optional[str] = None,
-    compiled: bool = True,
-) -> ProtectedAccount:
-    """Deprecated free-function entry point; use :class:`repro.api.ProtectionService`.
-
-    Delegates to ``ProtectionService(graph, policy).protect(...)`` and
-    returns the resulting account, so it stays byte-identical to the service
-    path (the equivalence tests in ``tests/api`` pin this down).
-    """
-    warnings.warn(
-        "generate_protected_account() is deprecated; use "
-        "repro.api.ProtectionService(graph, policy).protect(privilege=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.service import ProtectionService
-
-    return (
-        ProtectionService(graph, policy)
-        .protect(
-            privilege=privilege,
-            include_surrogate_edges=include_surrogate_edges,
-            repair_connectivity=ensure_maximal_connectivity,
-            strategy=strategy,
-            name=name,
-            compiled=compiled,
-            score=False,
-        )
-        .account
-    )
-
-
 def _repair_maximal_connectivity(
     graph: PropertyGraph,
     markings: object,
@@ -361,91 +319,6 @@ def _repair_maximal_connectivity(
             # The new edge makes everything reachable from the target reachable too.
             reachable.add(account_target)
             reachable |= set(single_source_shortest_lengths(account, account_target))
-
-
-class ProtectionEngine:
-    """Facade bundling a release policy with the generation algorithm.
-
-    The engine is the low-level, policy-only facade: it produces accounts
-    but does not score, persist or enforce them.  Applications should prefer
-    :class:`repro.api.ProtectionService`, which wraps an engine together
-    with the utility/opacity measures, the graph store and query
-    enforcement behind one request/response API.
-    """
-
-    def __init__(self, policy: ReleasePolicy) -> None:
-        self.policy = policy
-
-    # ------------------------------------------------------------------ #
-    # primary entry points
-    # ------------------------------------------------------------------ #
-    def protect(
-        self,
-        graph: PropertyGraph,
-        privilege: object,
-        *,
-        include_surrogate_edges: bool = True,
-        ensure_maximal_connectivity: bool = False,
-        strategy: str = STRATEGY_SURROGATE,
-    ) -> ProtectedAccount:
-        """The maximally informative protected account for ``privilege``."""
-        return build_protected_account(
-            graph,
-            self.policy,
-            privilege,
-            include_surrogate_edges=include_surrogate_edges,
-            ensure_maximal_connectivity=ensure_maximal_connectivity,
-            strategy=strategy,
-        )
-
-    def protect_all_classes(
-        self, graph: PropertyGraph, privileges: Optional[Iterable[object]] = None
-    ) -> Dict[str, ProtectedAccount]:
-        """One account per consumer class (default: every declared privilege)."""
-        if privileges is None:
-            privileges = self.policy.lattice.privileges()
-        accounts: Dict[str, ProtectedAccount] = {}
-        for privilege in privileges:
-            resolved = self.policy.lattice.get(privilege)
-            accounts[resolved.name] = self.protect(graph, resolved)
-        return accounts
-
-    # ------------------------------------------------------------------ #
-    # edge-protection variants used by the evaluation
-    # ------------------------------------------------------------------ #
-    def with_edge_protection(
-        self,
-        graph: PropertyGraph,
-        edges: Iterable[EdgeKey],
-        privilege: object,
-        *,
-        strategy: str = STRATEGY_SURROGATE,
-    ) -> ProtectedAccount:
-        """Protect ``edges`` with one strategy, then generate the account.
-
-        This is the exact transformation compared in Section 6: the same
-        edges are protected either by hiding or by surrogating, and the
-        resulting accounts are scored for utility and opacity.  The engine's
-        own policy is left untouched (the protection is applied to a copy).
-        """
-        scoped = self.policy.copy()
-        scoped.protect_edges(list(edges), privilege, strategy=strategy)
-        return build_protected_account(graph, scoped, privilege, strategy=strategy)
-
-    def compare_strategies(
-        self,
-        graph: PropertyGraph,
-        edges: Iterable[EdgeKey],
-        privilege: object,
-    ) -> Dict[str, ProtectedAccount]:
-        """Both the hide and the surrogate account for the same protected edges."""
-        edges = list(edges)
-        return {
-            STRATEGY_HIDE: self.with_edge_protection(graph, edges, privilege, strategy=STRATEGY_HIDE),
-            STRATEGY_SURROGATE: self.with_edge_protection(
-                graph, edges, privilege, strategy=STRATEGY_SURROGATE
-            ),
-        }
 
 
 def _account_name(graph: PropertyGraph, privilege: Privilege) -> str:

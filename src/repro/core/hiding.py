@@ -9,19 +9,22 @@ Two baselines appear in the evaluation:
   protects are instead marked ``HIDE``, so they simply disappear and no
   surrogate edge may summarise paths through them.
 
-Both produce ordinary :class:`~repro.core.protected_account.ProtectedAccount`
-objects so the utility/opacity measures apply uniformly.
+This module holds the first.  The second is Algorithm 1 run on a policy
+whose protected edges are marked ``HIDE``: a
+:class:`~repro.api.ProtectionService` request with ``protect_edges`` and
+``strategy="hide"``.  Both produce ordinary
+:class:`~repro.core.protected_account.ProtectedAccount` objects so the
+utility/opacity measures apply uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.core.generation import build_protected_account
 from repro.core.markings import EdgeState
-from repro.core.policy import ReleasePolicy, STRATEGY_HIDE
+from repro.core.policy import ReleasePolicy
 from repro.core.protected_account import ProtectedAccount
-from repro.graph.model import EdgeKey, NodeId, PropertyGraph
+from repro.graph.model import NodeId, PropertyGraph
 
 #: Strategy label for the all-or-nothing baseline.
 STRATEGY_NAIVE = "naive"
@@ -68,31 +71,4 @@ def naive_protected_account(
         surrogate_nodes=set(),
         surrogate_edges=set(),
         strategy=STRATEGY_NAIVE,
-    )
-
-
-def hide_protected_account(
-    graph: PropertyGraph,
-    policy: ReleasePolicy,
-    privilege: object,
-    *,
-    edges_to_protect: Optional[Iterable[EdgeKey]] = None,
-) -> ProtectedAccount:
-    """Protect ``edges_to_protect`` by hiding them, then generate the account.
-
-    When ``edges_to_protect`` is ``None`` the policy's existing markings are
-    used as-is, but surrogate-edge computation is disabled — i.e. whatever
-    is not directly visible is simply absent.  Either way the result carries
-    the ``"hide"`` strategy label used by the experiment drivers.
-    """
-    scoped = policy.copy()
-    if edges_to_protect is not None:
-        scoped.protect_edges(list(edges_to_protect), privilege, strategy=STRATEGY_HIDE)
-        return build_protected_account(graph, scoped, privilege, strategy=STRATEGY_HIDE)
-    return build_protected_account(
-        graph,
-        scoped,
-        privilege,
-        include_surrogate_edges=False,
-        strategy=STRATEGY_HIDE,
     )

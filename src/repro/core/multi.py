@@ -25,7 +25,6 @@ graph (Definition 5).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 from repro.core.generation import (
@@ -46,9 +45,11 @@ def build_multi_privilege_account(
     policy: ReleasePolicy,
     privileges: Sequence[object],
     *,
+    include_surrogate_edges: bool = True,
     ensure_maximal_connectivity: bool = False,
     strategy: str = STRATEGY_SURROGATE,
     name: Optional[str] = None,
+    compiled: bool = True,
     walks_cache: Optional[MutableMapping[WalkCacheKey, VisibleWalkCache]] = None,
 ) -> ProtectedAccount:
     """The merged protected account for a consumer satisfying ``privileges``.
@@ -56,7 +57,9 @@ def build_multi_privilege_account(
     ``privileges`` may contain comparable classes; only the maximal ones
     matter (a dominated class adds nothing).  With a single (maximal)
     privilege this reduces exactly to
-    :func:`~repro.core.generation.build_protected_account`.
+    :func:`~repro.core.generation.build_protected_account`; the generation
+    options (surrogate edges, repair, strategy, ``compiled``, walk cache)
+    are forwarded to each per-class run of it.
     """
     resolved = [policy.lattice.get(privilege) for privilege in privileges]
     if not resolved:
@@ -67,8 +70,10 @@ def build_multi_privilege_account(
             graph,
             policy,
             privilege,
+            include_surrogate_edges=include_surrogate_edges,
             ensure_maximal_connectivity=ensure_maximal_connectivity,
             strategy=strategy,
+            compiled=compiled,
             walks_cache=walks_cache,
         )
         for privilege in maximal
@@ -82,42 +87,6 @@ def build_multi_privilege_account(
         if name is not None
         else f"{graph.name or 'graph'}@{'+'.join(privilege.name for privilege in maximal)}",
         strategy=strategy,
-    )
-
-
-def generate_multi_privilege_account(
-    graph: PropertyGraph,
-    policy: ReleasePolicy,
-    privileges: Sequence[object],
-    *,
-    ensure_maximal_connectivity: bool = False,
-    strategy: str = STRATEGY_SURROGATE,
-    name: Optional[str] = None,
-) -> ProtectedAccount:
-    """Deprecated free-function entry point; use :class:`repro.api.ProtectionService`.
-
-    Delegates to ``ProtectionService(graph, policy).protect(...)`` with
-    every privilege in the request, so it stays byte-identical to the
-    service path.
-    """
-    warnings.warn(
-        "generate_multi_privilege_account() is deprecated; use "
-        "repro.api.ProtectionService(graph, policy).protect(privileges=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.service import ProtectionService
-
-    return (
-        ProtectionService(graph, policy)
-        .protect(
-            privileges=tuple(privileges),
-            repair_connectivity=ensure_maximal_connectivity,
-            strategy=strategy,
-            name=name,
-            score=False,
-        )
-        .account
     )
 
 

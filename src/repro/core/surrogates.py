@@ -177,24 +177,6 @@ class SurrogateRegistry:
         )
         return self.register(surrogate, original_lowest=original_lowest)
 
-    def add_null(
-        self,
-        original_id: NodeId,
-        lowest: object,
-        *,
-        surrogate_id: Optional[NodeId] = None,
-        kind: Optional[str] = None,
-    ) -> Surrogate:
-        """Register a ``<null>`` surrogate for ``original_id``."""
-        return self.register(
-            null_surrogate(
-                original_id,
-                self.lattice.get(lowest),
-                surrogate_id=surrogate_id,
-                kind=kind,
-            )
-        )
-
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #

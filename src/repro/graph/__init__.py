@@ -27,7 +27,6 @@ from repro.graph.deltas import (
     DeltaBus,
     DeltaKind,
     GraphDelta,
-    reset_view_maintenance_stats,
     view_maintenance_stats,
 )
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -58,7 +57,6 @@ __all__ = [
     "DeltaKind",
     "DeltaBus",
     "view_maintenance_stats",
-    "reset_view_maintenance_stats",
     "GraphBuilder",
     "graph_from_edges",
     "ancestors",

@@ -225,9 +225,3 @@ def view_maintenance_stats() -> Dict[str, Dict[str, int]]:
     """
     with _MAINTENANCE_LOCK:
         return {component: dict(counter) for component, counter in _MAINTENANCE.items()}
-
-
-def reset_view_maintenance_stats() -> None:
-    """Zero every counter (benchmark/test isolation helper)."""
-    with _MAINTENANCE_LOCK:
-        _MAINTENANCE.clear()

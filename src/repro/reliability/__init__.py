@@ -13,7 +13,7 @@ See ``docs/reliability.md`` for the failure model and the recovery
 guarantees these pieces verify.
 """
 
-from repro.reliability.faults import FaultInjector, Injection, SimulatedCrash, crash_plan
+from repro.reliability.faults import FaultInjector, Injection, SimulatedCrash
 from repro.reliability.retry import RetryPolicy
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "Injection",
     "RetryPolicy",
     "SimulatedCrash",
-    "crash_plan",
 ]

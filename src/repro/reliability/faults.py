@@ -86,22 +86,15 @@ class FaultInjector(StorageIO):
         #: Points at which a fault actually fired.
         self.fired: List[str] = []
         self._occurrences: Dict[str, int] = {}
-        self.armed = True
 
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #
-    def disarm(self) -> None:
-        """Stop injecting (recovery/assertion phases run on real I/O)."""
-        self.armed = False
-
     def _match(self, point: str) -> Optional[Injection]:
         index = len(self.trace)
         occurrence = self._occurrences.get(point, 0)
         self.trace.append(point)
         self._occurrences[point] = occurrence + 1
-        if not self.armed:
-            return None
         for injection in self.plan:
             if injection.fired:
                 continue
@@ -144,8 +137,3 @@ class FaultInjector(StorageIO):
             self.fired.append(point)
             raise SimulatedCrash(point)
         self._fire(injection, point)
-
-
-def crash_plan(at: int, mode: str = "crash", keep_bytes: Optional[int] = None) -> FaultInjector:
-    """A one-shot injector failing at global step ``at`` (test convenience)."""
-    return FaultInjector([Injection(mode=mode, at=at, keep_bytes=keep_bytes)])

@@ -329,13 +329,6 @@ class ReplicationPublisher:
         self.checkpoint(name)
         return graph
 
-    def unpublish(self, name: str) -> None:
-        with self._lock:
-            ref = self._names.pop(name, None)
-            graph = ref() if ref is not None else None
-            if graph is not None:
-                self._ids.pop(id(graph), None)
-
     def _forget(self, gid: int, name: str) -> None:
         with self._lock:
             self._ids.pop(gid, None)

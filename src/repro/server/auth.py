@@ -88,14 +88,6 @@ class TokenAuthenticator:
             self._tokens[token] = Principal(tenant=tenant, consumer=consumer)
         return token
 
-    def revoke_tenant(self, tenant: str) -> int:
-        """Drop every token issued for ``tenant``; returns how many."""
-        with self._lock:
-            stale = [token for token, principal in self._tokens.items() if principal.tenant == tenant]
-            for token in stale:
-                del self._tokens[token]
-            return len(stale)
-
     def tenants(self) -> Tuple[str, ...]:
         """Every tenant at least one live token was issued for."""
         with self._lock:

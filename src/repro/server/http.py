@@ -16,7 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.server.errors import BadRequestError
@@ -198,19 +198,3 @@ class ChunkedStream:
         await self.start()
         self._writer.write(b"0\r\n\r\n")
         await self._writer.drain()
-
-
-async def iter_ndjson_chunks(reader: asyncio.StreamReader) -> AsyncIterator[Tuple[int, bytes]]:
-    """Client-side helper: yield ``(size, chunk)`` pairs of a chunked body.
-
-    Used by the async load generator; servers never call this.
-    """
-    while True:
-        size_line = await reader.readline()
-        size = int(size_line.strip() or b"0", 16)
-        if size == 0:
-            await reader.readline()
-            return
-        chunk = await reader.readexactly(size)
-        await reader.readexactly(2)  # trailing CRLF
-        yield size, chunk

@@ -82,15 +82,6 @@ def interval_reach(
     return out
 
 
-def node_depth(db: Database, graph_name: str, node_id: "NodeId") -> Optional[int]:
-    """The node's DFS-forest depth (the ``level`` axis), or ``None``."""
-    row = db.execute(
-        "SELECT level FROM intervals WHERE graph = ? AND node = ?",
-        (graph_name, encode_id(node_id)),
-    ).fetchone()
-    return row[0] if row is not None else None
-
-
 _WALK_SETUP = [
     # One temp table per connection, cleared per walk: (near, far) in walk
     # orientation plus the marking verdicts resolved in Python.

@@ -27,7 +27,9 @@ def test_markdown_links_resolve():
 
 
 def test_checker_covers_api_modules():
-    """The checker must keep walking every api/ module, the package root and the codec."""
+    """The checker must keep walking every api/ module, the package root, the
+    codec and the algorithm entry points of ``repro.core``."""
     names = {path.name for path in check_docs.API_FILES}
     assert {"service.py", "cache.py", "registry.py", "requests.py", "results.py", "persistence.py"} <= names
     assert {"__init__.py", "codec.py"} <= names
+    assert {"generation.py", "multi.py", "hiding.py"} <= names

@@ -6,6 +6,7 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 import repro.core.markings as markings_module
 import repro.core.permitted as permitted_module
@@ -27,6 +28,8 @@ from repro.security.credentials import Consumer
 from repro.security.enforcement import EnforcementMode, QueryEnforcer
 from repro.store.engine import GraphStore
 from repro.workloads.social import SENSITIVE_EDGE, figure1_example, figure2_variant
+
+from tests.property.strategies import graph_with_policy
 
 
 def accounts_equal(left, right) -> bool:
@@ -133,6 +136,98 @@ class TestProtect:
             service.protect(
                 ProtectionRequest(privileges=("High-2",), protect_edges=(("g", "a1"),))
             )
+
+    def test_protect_all_classes_covers_every_declared_privilege(
+        self, chain_graph, basic_policy
+    ):
+        basic_policy.set_lowest("c", "Secret")
+        results = ProtectionService(chain_graph, basic_policy).protect_all_classes()
+        assert set(results) == {"Public", "Confidential", "Secret"}
+        assert "c" in results["Secret"].account.graph.node_ids()
+        assert "c" not in results["Public"].account.graph.node_ids()
+
+    def test_protect_edges_leave_the_service_policy_untouched(self, chain_graph, basic_policy):
+        service = ProtectionService(chain_graph, basic_policy)
+        service.protect(
+            privilege="Public", protect_edges=[("a", "b")], strategy="hide", score=False
+        )
+        account = service.protect(privilege="Public", score=False).account
+        assert account.graph.has_edge("a", "b")
+
+    def test_edge_protection_strategies_are_labelled(self, chain_graph, basic_policy):
+        service = ProtectionService(chain_graph, basic_policy)
+        hide, surrogate = (
+            service.protect(
+                privilege="Public", protect_edges=[("b", "c")], strategy=strategy, score=False
+            ).account
+            for strategy in ("hide", "surrogate")
+        )
+        assert hide.strategy == "hide"
+        assert surrogate.strategy == "surrogate"
+        assert not hide.graph.has_edge("b", "c")
+        assert surrogate.graph.has_edge("b", "d")
+
+    def test_multi_privilege_request_honours_include_surrogate_edges(self, figure2b):
+        service = ProtectionService(figure2b.graph, figure2b.policy)
+        for privileges in (("High-2",), ("High-1", "High-2")):
+            account = service.protect(
+                privileges=privileges, include_surrogate_edges=False, score=False
+            ).account
+            assert account.surrogate_edges == set(), privileges
+            assert not account.graph.has_edge("c", "g"), privileges
+
+    def test_multi_privilege_request_honours_compiled(self, figure2b, monkeypatch):
+        privileges = ("High-1", "High-2")
+        compiled = (
+            ProtectionService(figure2b.graph, figure2b.policy)
+            .protect(privileges=privileges, score=False)
+            .account
+        )
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled=False must not compile a marking view")
+
+        monkeypatch.setattr(markings_module.MarkingPolicy, "compile", no_compile)
+        reference = (
+            ProtectionService(figure2b.graph, figure2b.policy)
+            .protect(privileges=privileges, compiled=False, score=False)
+            .account
+        )
+        assert accounts_equal(reference, compiled)
+
+
+class TestMatchesBuildFunctions:
+    """The service wraps the ``build_*`` functions without changing their
+    account, on random graph/policy/consumer triples."""
+
+    @staticmethod
+    def assert_identical(serviced, direct) -> None:
+        assert accounts_equal(serviced, direct)
+        assert serviced.privilege == direct.privilege
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+    @settings(max_examples=60, deadline=None)
+    @given(triple=graph_with_policy())
+    def test_single_privilege(self, compiled, triple) -> None:
+        graph, policy, consumer = triple
+        direct = build_protected_account(graph, policy, consumer, compiled=compiled)
+        serviced = (
+            ProtectionService(graph, policy)
+            .protect(privilege=consumer, compiled=compiled, score=False)
+            .account
+        )
+        self.assert_identical(serviced, direct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(triple=graph_with_policy())
+    def test_every_privilege_at_once(self, triple) -> None:
+        graph, policy, _consumer = triple
+        privileges = tuple(policy.lattice.privileges())
+        direct = build_multi_privilege_account(graph, policy, privileges)
+        serviced = (
+            ProtectionService(graph, policy).protect(privileges=privileges, score=False).account
+        )
+        self.assert_identical(serviced, direct)
 
 
 class TestProtectMany:

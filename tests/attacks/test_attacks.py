@@ -2,15 +2,27 @@
 
 import pytest
 
+from repro.api import ProtectionService
 from repro.attacks.adversary import AttackOutcome, simulate_attack
 from repro.attacks.inference import EdgeInferenceAttack
-from repro.core.generation import ProtectionEngine
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.opacity import average_opacity
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
 from repro.graph.builders import graph_from_edges
 from repro.workloads.social import figure1_example
+
+
+def _strategy_accounts(graph, policy, protected_edges):
+    """The Public hide and surrogate accounts for the same protected edges."""
+    service = ProtectionService(graph, policy)
+    return {
+        strategy: service.protect(
+            privilege="Public", protect_edges=protected_edges, strategy=strategy, score=False
+        ).account
+        for strategy in ("hide", "surrogate")
+    }
 
 
 class TestEdgeInferenceAttack:
@@ -51,7 +63,7 @@ class TestSimulateAttack:
 
     def test_nothing_hidden_means_nothing_to_recover(self, chain_graph):
         policy = ReleasePolicy(PrivilegeLattice())
-        account = ProtectionEngine(policy).protect(chain_graph, policy.lattice.public)
+        account = build_protected_account(chain_graph, policy, policy.lattice.public)
         outcome = simulate_attack(chain_graph, account, guess_budget=2)
         assert outcome.hits == set()
         assert outcome.recall == 0.0 or len(outcome.hidden) == 0
@@ -61,8 +73,11 @@ class TestSimulateAttack:
         # reasonable budget the attacker should name the missing link.
         graph = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
         policy = ReleasePolicy(PrivilegeLattice())
-        engine = ProtectionEngine(policy)
-        account = engine.with_edge_protection(graph, [("b", "c")], policy.lattice.public, strategy="hide")
+        account = (
+            ProtectionService(graph, policy)
+            .protect(privilege="Public", protect_edges=[("b", "c")], strategy="hide", score=False)
+            .account
+        )
         outcome = simulate_attack(graph, account, guess_budget=4)
         assert ("b", "c") in outcome.hidden
         assert outcome.recall > 0.0
@@ -72,9 +87,8 @@ class TestSimulateAttack:
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c"), ("c", "e")]
         )
         policy = ReleasePolicy(PrivilegeLattice())
-        engine = ProtectionEngine(policy)
         protected_edges = [("b", "c"), ("c", "d")]
-        accounts = engine.compare_strategies(graph, protected_edges, policy.lattice.public)
+        accounts = _strategy_accounts(graph, policy, protected_edges)
         hide_outcome = simulate_attack(graph, accounts["hide"], guess_budget=4)
         surrogate_outcome = simulate_attack(graph, accounts["surrogate"], guess_budget=4)
         assert surrogate_outcome.recall <= hide_outcome.recall + 1e-9
@@ -85,9 +99,8 @@ class TestSimulateAttack:
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c"), ("c", "e"), ("b", "d")]
         )
         policy = ReleasePolicy(PrivilegeLattice())
-        engine = ProtectionEngine(policy)
         protected_edges = [("b", "c")]
-        accounts = engine.compare_strategies(graph, protected_edges, policy.lattice.public)
+        accounts = _strategy_accounts(graph, policy, protected_edges)
         opacity_by_strategy = {
             name: average_opacity(graph, account, protected_edges) for name, account in accounts.items()
         }

@@ -1,10 +1,10 @@
-"""Unit tests for the Surrogate Generation Algorithm and the ProtectionEngine."""
+"""Unit tests for the Surrogate Generation Algorithm (``build_protected_account``)."""
 
 import pytest
 
-from repro.core.generation import ProtectionEngine, generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.markings import Marking
-from repro.core.policy import ReleasePolicy, STRATEGY_HIDE, STRATEGY_SURROGATE
+from repro.core.policy import ReleasePolicy, STRATEGY_SURROGATE
 from repro.core.privileges import PrivilegeLattice
 from repro.core.validation import validate_maximally_informative, validate_protected_account
 from repro.exceptions import ProtectionError
@@ -14,20 +14,20 @@ from repro.workloads.social import figure2_variant
 
 class TestNodeSelection:
     def test_visible_nodes_carried_over_unchanged(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert set(account.graph.node_ids()) == {"a", "b", "c", "d"}
         assert account.surrogate_nodes == set()
 
     def test_protected_node_without_surrogate_is_omitted(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert "c" not in account.graph.node_ids()
         assert not account.represents("c")
 
     def test_protected_node_with_surrogate_is_replaced(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
         basic_policy.add_surrogate("c", "Public", surrogate_id="c_prime", features={"kind": "redacted"})
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert account.account_node_of("c") == "c_prime"
         assert account.is_surrogate_node("c_prime")
         assert account.graph.node("c_prime").features == {"kind": "redacted"}
@@ -35,7 +35,7 @@ class TestNodeSelection:
     def test_null_surrogate_option(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
         basic_policy.use_null_surrogates = True
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         surrogate_id = account.account_node_of("c")
         assert surrogate_id is not None
         assert account.graph.node(surrogate_id).features == {}
@@ -45,28 +45,28 @@ class TestNodeSelection:
         # A surrogate whose id collides with an existing visible node.
         basic_policy.add_surrogate("c", "Public", surrogate_id="a")
         with pytest.raises(ProtectionError):
-            generate_protected_account(chain_graph, basic_policy, "Public")
+            build_protected_account(chain_graph, basic_policy, "Public")
 
     def test_consumer_with_full_privilege_sees_everything(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
-        account = generate_protected_account(chain_graph, basic_policy, "Secret")
+        account = build_protected_account(chain_graph, basic_policy, "Secret")
         assert set(account.graph.node_ids()) == {"a", "b", "c", "d"}
         assert set(account.graph.edge_keys()) == set(chain_graph.edge_keys())
 
 
 class TestEdgeGeneration:
     def test_visible_edges_between_present_nodes(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert set(account.graph.edge_keys()) == set(chain_graph.edge_keys())
         assert account.surrogate_edges == set()
 
     def test_edges_to_hidden_nodes_dropped(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert set(account.graph.edge_keys()) == {("a", "b")}
 
     def test_surrogate_edge_skips_hidden_node(self, chain_graph, protected_chain_policy):
-        account = generate_protected_account(chain_graph, protected_chain_policy, "Public")
+        account = build_protected_account(chain_graph, protected_chain_policy, "Public")
         assert ("b", "d") in account.graph.edge_keys()
         assert account.is_surrogate_edge("b", "d")
         assert account.graph.edge("b", "d").label == "surrogate"
@@ -78,13 +78,13 @@ class TestEdgeGeneration:
         public = two_level_lattice.public
         policy.markings.mark_edge(("b", "c"), public, target=Marking.VISIBLE)
         policy.markings.mark_edge(("c", "d"), public, source=Marking.VISIBLE)
-        account = generate_protected_account(chain_graph, policy, public)
+        account = build_protected_account(chain_graph, policy, public)
         assert account.graph.has_edge("b", "c_prime")
         assert account.graph.has_edge("c_prime", "d")
         assert account.surrogate_edges == set()
 
     def test_include_surrogate_edges_flag(self, chain_graph, protected_chain_policy):
-        account = generate_protected_account(
+        account = build_protected_account(
             chain_graph, protected_chain_policy, "Public", include_surrogate_edges=False
         )
         assert not account.graph.has_edge("b", "d")
@@ -97,12 +97,12 @@ class TestEdgeGeneration:
         # a computed a->b edge, but Definition 8's clause forbids it.
         policy.protect_edge(("a", "b"), public, strategy=STRATEGY_SURROGATE)
         policy.markings.mark_edge(("a", "c"), public, target=Marking.SURROGATE)
-        account = generate_protected_account(graph, policy, public)
+        account = build_protected_account(graph, policy, public)
         assert not account.graph.has_edge("a", "b")
 
     def test_generation_is_deterministic(self, chain_graph, protected_chain_policy):
-        first = generate_protected_account(chain_graph, protected_chain_policy, "Public")
-        second = generate_protected_account(chain_graph, protected_chain_policy, "Public")
+        first = build_protected_account(chain_graph, protected_chain_policy, "Public")
+        second = build_protected_account(chain_graph, protected_chain_policy, "Public")
         assert first.graph == second.graph
         assert first.surrogate_edges == second.surrogate_edges
 
@@ -119,38 +119,15 @@ class TestFigure2Accounts:
     )
     def test_account_edge_sets_match_paper(self, variant, expected_edges):
         example = figure2_variant(variant)
-        account = generate_protected_account(example.graph, example.policy, example.high2)
+        account = build_protected_account(example.graph, example.policy, example.high2)
         assert set(account.graph.edge_keys()) == expected_edges
 
     def test_every_figure2_account_is_sound_and_maximal(self):
         for variant in ("a", "b", "c", "d"):
             example = figure2_variant(variant)
-            account = generate_protected_account(example.graph, example.policy, example.high2)
+            account = build_protected_account(example.graph, example.policy, example.high2)
             assert validate_protected_account(example.graph, account).ok
             assert validate_maximally_informative(
                 example.graph, example.policy, example.high2, account
             ).ok
 
-
-class TestProtectionEngine:
-    def test_protect_all_classes(self, chain_graph, basic_policy):
-        basic_policy.set_lowest("c", "Secret")
-        accounts = ProtectionEngine(basic_policy).protect_all_classes(chain_graph)
-        assert set(accounts) == {"Public", "Confidential", "Secret"}
-        assert "c" in accounts["Secret"].graph.node_ids()
-        assert "c" not in accounts["Public"].graph.node_ids()
-
-    def test_with_edge_protection_does_not_mutate_policy(self, chain_graph, basic_policy):
-        engine = ProtectionEngine(basic_policy)
-        engine.with_edge_protection(chain_graph, [("a", "b")], "Public", strategy=STRATEGY_HIDE)
-        # The engine's own policy must be untouched: regenerating shows the edge.
-        account = engine.protect(chain_graph, "Public")
-        assert account.graph.has_edge("a", "b")
-
-    def test_compare_strategies_labels(self, chain_graph, basic_policy):
-        engine = ProtectionEngine(basic_policy)
-        accounts = engine.compare_strategies(chain_graph, [("b", "c")], "Public")
-        assert accounts[STRATEGY_HIDE].strategy == STRATEGY_HIDE
-        assert accounts[STRATEGY_SURROGATE].strategy == STRATEGY_SURROGATE
-        assert not accounts[STRATEGY_HIDE].graph.has_edge("b", "c")
-        assert accounts[STRATEGY_SURROGATE].graph.has_edge("b", "d")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.hiding import STRATEGY_NAIVE, hide_protected_account, naive_protected_account
+from repro.api import ProtectionService
+from repro.core.hiding import STRATEGY_NAIVE, naive_protected_account
 from repro.core.markings import Marking
 from repro.core.policy import ReleasePolicy
 from repro.core.utility import path_utility
@@ -44,8 +45,10 @@ class TestNaiveAccount:
 
 class TestHideAccount:
     def test_hide_removes_protected_edges_without_summaries(self, chain_graph, basic_policy):
-        account = hide_protected_account(
-            chain_graph, basic_policy, "Public", edges_to_protect=[("b", "c")]
+        account = (
+            ProtectionService(chain_graph, basic_policy)
+            .protect(privilege="Public", protect_edges=[("b", "c")], strategy="hide", score=False)
+            .account
         )
         assert not account.graph.has_edge("b", "c")
         assert account.surrogate_edges == set()
@@ -53,18 +56,26 @@ class TestHideAccount:
 
     def test_hide_without_edges_uses_existing_markings(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
-        account = hide_protected_account(chain_graph, basic_policy, "Public")
+        account = (
+            ProtectionService(chain_graph, basic_policy)
+            .protect(privilege="Public", strategy="hide", include_surrogate_edges=False, score=False)
+            .account
+        )
         assert "c" not in account.graph.node_ids()
         assert account.surrogate_edges == set()
 
     def test_hide_does_not_mutate_the_policy(self, chain_graph, basic_policy):
-        hide_protected_account(chain_graph, basic_policy, "Public", edges_to_protect=[("b", "c")])
+        ProtectionService(chain_graph, basic_policy).protect(
+            privilege="Public", protect_edges=[("b", "c")], strategy="hide", score=False
+        )
         assert basic_policy.markings.explicit_marking("c", ("b", "c"), "Public") is None
 
     def test_hide_reduces_utility_vs_surrogate(self, chain_graph, basic_policy):
-        from repro.core.generation import ProtectionEngine
-
-        engine = ProtectionEngine(basic_policy)
-        hide = hide_protected_account(chain_graph, basic_policy, "Public", edges_to_protect=[("a", "b")])
-        surrogate = engine.with_edge_protection(chain_graph, [("a", "b")], "Public")
+        service = ProtectionService(chain_graph, basic_policy)
+        hide, surrogate = (
+            service.protect(
+                privilege="Public", protect_edges=[("a", "b")], strategy=strategy, score=False
+            ).account
+            for strategy in ("hide", "surrogate")
+        )
         assert path_utility(chain_graph, surrogate) >= path_utility(chain_graph, hide)

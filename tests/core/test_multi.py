@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.generation import generate_protected_account
-from repro.core.multi import generate_multi_privilege_account, merge_accounts
+from repro.core.generation import build_protected_account
+from repro.core.multi import build_multi_privilege_account, merge_accounts
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
 from repro.core.utility import path_utility
@@ -30,25 +30,25 @@ class TestGenerateMultiPrivilegeAccount:
     def test_requires_at_least_one_privilege(self, fork_policy):
         graph, policy, left, right = fork_policy
         with pytest.raises(ProtectionError):
-            generate_multi_privilege_account(graph, policy, [])
+            build_multi_privilege_account(graph, policy, [])
 
     def test_single_privilege_reduces_to_plain_generation(self, fork_policy):
         graph, policy, left, right = fork_policy
-        multi = generate_multi_privilege_account(graph, policy, [left])
-        single = generate_protected_account(graph, policy, left)
+        multi = build_multi_privilege_account(graph, policy, [left])
+        single = build_protected_account(graph, policy, left)
         assert multi.graph == single.graph
         assert multi.correspondence == single.correspondence
 
     def test_dominated_privileges_are_ignored(self, fork_policy):
         graph, policy, left, right = fork_policy
         public = policy.lattice.public
-        multi = generate_multi_privilege_account(graph, policy, [left, public])
-        single = generate_protected_account(graph, policy, left)
+        multi = build_multi_privilege_account(graph, policy, [left, public])
+        single = build_protected_account(graph, policy, left)
         assert set(multi.graph.node_ids()) == set(single.graph.node_ids())
 
     def test_union_of_visibility(self, fork_policy):
         graph, policy, left, right = fork_policy
-        account = generate_multi_privilege_account(graph, policy, [left, right])
+        account = build_multi_privilege_account(graph, policy, [left, right])
         # Left alone sees {a, b, d}; Right alone sees {a, c, d}; together: every node.
         assert set(account.graph.node_ids()) == {"a", "b", "c", "d"}
         # Edges are the union of what each class may be shown.  The edge (b, c)
@@ -60,14 +60,14 @@ class TestGenerateMultiPrivilegeAccount:
 
     def test_merged_account_at_least_as_useful_as_each_class(self, fork_policy):
         graph, policy, left, right = fork_policy
-        merged = generate_multi_privilege_account(graph, policy, [left, right])
+        merged = build_multi_privilege_account(graph, policy, [left, right])
         for privilege in (left, right):
-            single = generate_protected_account(graph, policy, privilege)
+            single = build_protected_account(graph, policy, privilege)
             assert path_utility(graph, merged) >= path_utility(graph, single) - 1e-9
 
     def test_figure1_high1_plus_high2_sees_whole_graph(self):
         example = figure1_example()
-        account = generate_multi_privilege_account(
+        account = build_multi_privilege_account(
             example.graph, example.policy, [example.privileges["High-1"], example.privileges["High-2"]]
         )
         assert set(account.graph.node_ids()) == set(example.graph.node_ids())
@@ -80,7 +80,7 @@ class TestSurrogatePreference:
         # Right-only consumers get a surrogate for b; Left sees b itself.  The
         # merged account must show the original b.
         policy.add_surrogate("b", "Right", surrogate_id="b_redacted", features={})
-        account = generate_multi_privilege_account(graph, policy, [left, right])
+        account = build_multi_privilege_account(graph, policy, [left, right])
         assert account.account_node_of("b") == "b"
         assert not account.is_surrogate_node("b")
 
@@ -94,7 +94,7 @@ class TestSurrogatePreference:
         policy.set_lowest("x", top)
         policy.add_surrogate("x", left, surrogate_id="x_left", features={"role": "redacted", "kind": "step"})
         policy.add_surrogate("x", right, surrogate_id="x_right", features={"role": "redacted"})
-        account = generate_multi_privilege_account(graph, policy, [left, right])
+        account = build_multi_privilege_account(graph, policy, [left, right])
         chosen = account.account_node_of("x")
         assert chosen == "x_left"
         assert account.is_surrogate_node("x_left")
@@ -118,8 +118,8 @@ class TestMergeAccounts:
         # Right-class consumers bridge over x with a surrogate edge a -> b.
         policy.markings.mark_edge(("a", "x"), right, source=Marking.VISIBLE, target=Marking.SURROGATE)
         policy.markings.mark_edge(("x", "b"), right, source=Marking.SURROGATE, target=Marking.VISIBLE)
-        left_account = generate_protected_account(graph, policy, left)
-        right_account = generate_protected_account(graph, policy, right)
+        left_account = build_protected_account(graph, policy, left)
+        right_account = build_protected_account(graph, policy, right)
         assert right_account.is_surrogate_edge("a", "b")
         merged = merge_accounts(graph, [left_account, right_account])
         # The merged consumer sees x itself, the real edges, plus the bridging
@@ -131,7 +131,7 @@ class TestMergeAccounts:
     def test_merged_account_is_sound_for_running_example(self):
         example = figure1_example(with_feature_surrogate=True)
         accounts = [
-            generate_protected_account(example.graph, example.policy, example.privileges[name])
+            build_protected_account(example.graph, example.policy, example.privileges[name])
             for name in ("High-2", "Low-2")
         ]
         merged = merge_accounts(example.graph, accounts)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.opacity import (
     AdvancedAdversary,
@@ -28,7 +28,7 @@ from repro.workloads.social import SENSITIVE_EDGE, figure2_variant
 
 def _account_for(variant):
     example = figure2_variant(variant)
-    return example, generate_protected_account(example.graph, example.policy, example.high2)
+    return example, build_protected_account(example.graph, example.policy, example.high2)
 
 
 class TestOpacityBaseCases:
@@ -46,7 +46,7 @@ class TestOpacityBaseCases:
         assert 0.0 < value < 1.0
 
     def test_values_always_in_unit_interval(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         for edge in chain_graph.edge_keys():
             assert 0.0 <= opacity(chain_graph, account, edge) <= 1.0
 
@@ -98,10 +98,15 @@ class TestAdversaries:
         assert adversary.focus_probability(graph, "isolated") == adversary.loner_focus
 
     def test_adding_a_surrogate_edge_raises_opacity_of_isolated_endpoint(self, chain_graph, basic_policy):
-        from repro.core.generation import ProtectionEngine
+        from repro.api import ProtectionService
 
-        engine = ProtectionEngine(basic_policy)
-        accounts = engine.compare_strategies(chain_graph, [("a", "b")], "Public")
+        service = ProtectionService(chain_graph, basic_policy)
+        accounts = {
+            strategy: service.protect(
+                privilege="Public", protect_edges=[("a", "b")], strategy=strategy, score=False
+            ).account
+            for strategy in ("hide", "surrogate")
+        }
         hide_value = opacity(chain_graph, accounts["hide"], ("a", "b"))
         surrogate_value = opacity(chain_graph, accounts["surrogate"], ("a", "b"))
         assert surrogate_value >= hide_value
@@ -126,7 +131,7 @@ class TestAggregates:
         assert value == 1.0  # f is unrepresented in the naive account
 
     def test_average_opacity_when_nothing_hidden(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert average_opacity(chain_graph, account) == 1.0
 
     def test_opacity_report(self, figure1):
@@ -215,7 +220,7 @@ class TestEdgeCaseBranches:
 
     def test_naive_adversary_is_the_all_zero_case_end_to_end(self):
         example = figure2_variant("c")
-        account = generate_protected_account(example.graph, example.policy, example.high2)
+        account = build_protected_account(example.graph, example.policy, example.high2)
         value = opacity(example.graph, account, SENSITIVE_EDGE, adversary=NaiveAdversary())
         assert value == 1.0
         assert value == opacity_reference(
@@ -319,7 +324,7 @@ class TestCompiledEngine:
         assert set(values) == set(edges)
 
     def test_batch_without_inferable_edges_never_simulates(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         shown = [
             edge
             for edge in chain_graph.edge_keys()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.protected_account import ProtectedAccount
 from repro.core.utility import (
@@ -34,7 +34,7 @@ class TestPathPercentage:
 
     def test_isolated_original_node_scores_one_if_kept(self, basic_policy):
         graph = graph_from_edges([("a", "b")], nodes=["isolated"])
-        account = generate_protected_account(graph, basic_policy, "Public")
+        account = build_protected_account(graph, basic_policy, "Public")
         assert path_percentage(graph, account, "isolated") == 1.0
 
     def test_percentages_cover_all_original_nodes(self, figure1, naive_figure1_account):
@@ -52,11 +52,11 @@ class TestPathUtility:
     )
     def test_figure2_accounts_match_paper_values(self, variant, expected):
         example = figure2_variant(variant)
-        account = generate_protected_account(example.graph, example.policy, example.high2)
+        account = build_protected_account(example.graph, example.policy, example.high2)
         assert path_utility(example.graph, account) == pytest.approx(expected, abs=1e-9)
 
     def test_identity_account_has_utility_one(self, figure1):
-        account = generate_protected_account(figure1.graph, figure1.policy, "High-1")
+        account = build_protected_account(figure1.graph, figure1.policy, "High-1")
         assert path_utility(figure1.graph, account) == pytest.approx(1.0)
 
     def test_empty_original_graph(self):
@@ -73,7 +73,7 @@ class TestNodeUtility:
         chain_graph.set_node_features("c", {"name": "C", "secret": "x"})
         basic_policy.set_lowest("c", "Secret")
         basic_policy.add_surrogate("c", "Public", surrogate_id="c_prime", features={"name": "C"})
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         # 3 originals at 1.0 plus one surrogate at 0.5, over 4 original nodes.
         assert node_utility(chain_graph, account) == pytest.approx((3 + 0.5) / 4)
 
@@ -81,7 +81,7 @@ class TestNodeUtility:
         chain_graph.set_node_features("c", {"name": "C", "secret": "x"})
         basic_policy.set_lowest("c", "Secret")
         basic_policy.add_surrogate("c", "Public", surrogate_id="c_prime", features={})
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         default_value = node_utility(chain_graph, account)
         boosted = node_utility(chain_graph, account, explicit_scores={"c_prime": 1.0})
         assert boosted > default_value
@@ -91,7 +91,7 @@ class TestNodeUtility:
         assert info_score(figure1.graph, naive_figure1_account, "b") == 1.0
 
     def test_explicit_scores_are_clamped(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert info_score(chain_graph, account, "a", explicit_scores={"a": 7.0}) == 1.0
         assert info_score(chain_graph, account, "a", explicit_scores={"a": -2.0}) == 0.0
 

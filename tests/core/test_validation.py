@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.protected_account import ProtectedAccount
 from repro.core.validation import (
@@ -31,7 +31,7 @@ class TestValidationReport:
 
 class TestDefinition5:
     def test_generated_accounts_are_sound(self, chain_graph, protected_chain_policy):
-        account = generate_protected_account(chain_graph, protected_chain_policy, "Public")
+        account = build_protected_account(chain_graph, protected_chain_policy, "Public")
         assert validate_protected_account(chain_graph, account, strict=True).ok
 
     def test_fabricated_connectivity_detected(self, chain_graph):
@@ -55,7 +55,7 @@ class TestDefinition5:
         assert not report.ok
 
     def test_feature_tampering_detected(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         account.graph.set_node_features("a", {"tampered": True})
         report = validate_protected_account(chain_graph, account)
         assert not report.ok
@@ -64,13 +64,13 @@ class TestDefinition5:
     def test_surrogate_features_may_differ(self, chain_graph, basic_policy):
         basic_policy.set_lowest("c", "Secret")
         basic_policy.add_surrogate("c", "Public", surrogate_id="c_prime", features={"other": 1})
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         assert validate_protected_account(chain_graph, account).ok
 
 
 class TestDefinition9:
     def test_generated_account_is_maximally_informative(self, chain_graph, protected_chain_policy):
-        account = generate_protected_account(chain_graph, protected_chain_policy, "Public")
+        account = build_protected_account(chain_graph, protected_chain_policy, "Public")
         assert validate_maximally_informative(
             chain_graph, protected_chain_policy, "Public", account
         ).ok
@@ -82,7 +82,7 @@ class TestDefinition9:
         assert any("maximal connectivity" in violation for violation in report.violations)
 
     def test_missing_visible_node_violates_property_one(self, chain_graph, basic_policy):
-        account = generate_protected_account(chain_graph, basic_policy, "Public")
+        account = build_protected_account(chain_graph, basic_policy, "Public")
         account.graph.remove_node("a")
         del account.correspondence["a"]
         report = validate_maximally_informative(chain_graph, basic_policy, "Public", account)
@@ -96,7 +96,7 @@ class TestDefinition9:
         policy.set_lowest("c", "Secret")
         policy.add_surrogate("c", "Public", surrogate_id="c_public", info_score=0.1)
         policy.add_surrogate("c", "Confidential", surrogate_id="c_confidential", info_score=0.9)
-        account = generate_protected_account(chain_graph, policy, "Confidential")
+        account = build_protected_account(chain_graph, policy, "Confidential")
         # The generator picks the dominant (Confidential) surrogate, so it passes...
         assert validate_maximally_informative(chain_graph, policy, "Confidential", account).ok
         # ...but an account hand-built with the weaker surrogate is flagged.

@@ -6,7 +6,8 @@ metrics, enforcement and the store — the way a user of the library would.
 
 import pytest
 
-from repro.core.generation import ProtectionEngine
+from repro.api import ProtectionService
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.opacity import average_opacity, opacity
 from repro.core.utility import node_utility, path_utility
@@ -24,9 +25,8 @@ from repro.workloads.synthetic import small_family_for_tests
 class TestRunningExampleEndToEnd:
     def test_surrogate_account_beats_naive_on_both_measures(self):
         example = figure2_variant("b")
-        engine = ProtectionEngine(example.policy)
         naive = naive_protected_account(example.graph, example.policy, example.high2)
-        protected = engine.protect(example.graph, example.high2)
+        protected = build_protected_account(example.graph, example.policy, example.high2)
 
         assert path_utility(example.graph, protected) > path_utility(example.graph, naive)
         assert node_utility(example.graph, protected) >= node_utility(example.graph, naive)
@@ -39,8 +39,8 @@ class TestRunningExampleEndToEnd:
 
     def test_every_consumer_class_gets_a_sound_account(self):
         example = figure1_example(with_feature_surrogate=True)
-        engine = ProtectionEngine(example.policy)
-        accounts = engine.protect_all_classes(example.graph)
+        results = ProtectionService(example.graph, example.policy).protect_all_classes()
+        accounts = {name: result.account for name, result in results.items()}
         assert set(accounts) == {"Public", "Low-2", "High-1", "High-2"}
         for account in accounts.values():
             assert validate_protected_account(example.graph, account).ok
@@ -79,8 +79,7 @@ class TestProvenanceEndToEnd:
         store = GraphStore(tmp_path)
         store.put_graph(example.graph, name="social")
         reopened = GraphStore(tmp_path)
-        engine = ProtectionEngine(example.policy)
-        account = engine.protect(reopened.graph("social"), example.high2)
+        account = build_protected_account(reopened.graph("social"), example.policy, example.high2)
         assert path_utility(example.graph, account) == pytest.approx(30 / 110)
 
 

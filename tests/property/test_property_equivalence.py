@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.markings import Marking
 from repro.core.permitted import (
     VisibleWalkCache,
@@ -101,10 +101,10 @@ def test_compiled_account_is_byte_identical(triple):
     same nodes and edges in the same insertion order, same correspondence,
     same surrogate bookkeeping, same utility scores."""
     graph, policy, consumer = triple
-    compiled = generate_protected_account(
+    compiled = build_protected_account(
         graph, policy, consumer, ensure_maximal_connectivity=True
     )
-    reference = generate_protected_account(
+    reference = build_protected_account(
         graph, policy, consumer, ensure_maximal_connectivity=True, compiled=False
     )
     assert compiled.graph == reference.graph
@@ -124,7 +124,7 @@ def test_compiled_account_is_byte_identical(triple):
 def test_component_utility_matches_per_node_bfs(triple):
     """Component-based %P equals the per-node BFS reference for every node."""
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     component_based = path_percentages(graph, account)
     assert set(component_based) == set(graph.node_ids())
     for node_id in graph.node_ids():
@@ -208,8 +208,8 @@ def _workload_policy(graph, seed):
 def test_workload_account_and_scores_match_reference(seed):
     graph = random_digraph(120, 360, seed=seed)
     policy, consumer = _workload_policy(graph, seed)
-    compiled = generate_protected_account(graph, policy, consumer)
-    reference = generate_protected_account(graph, policy, consumer, compiled=False)
+    compiled = build_protected_account(graph, policy, consumer)
+    reference = build_protected_account(graph, policy, consumer, compiled=False)
     assert compiled.graph == reference.graph
     assert compiled.graph.node_ids() == reference.graph.node_ids()
     assert compiled.graph.edge_keys() == reference.graph.edge_keys()

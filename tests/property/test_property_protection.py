@@ -14,7 +14,8 @@ lattices, markings and surrogate registries:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.generation import ProtectionEngine, generate_protected_account
+from repro.api import ProtectionService
+from repro.core.generation import build_protected_account
 from repro.core.hiding import naive_protected_account
 from repro.core.opacity import average_opacity, opacity
 from repro.core.privileges import HighWaterSet
@@ -28,7 +29,7 @@ from tests.property.strategies import graph_with_policy, graphs
 @given(graph_with_policy())
 def test_generated_accounts_satisfy_definition5(triple):
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     report = validate_protected_account(graph, account)
     assert report.ok, report.violations
 
@@ -40,7 +41,7 @@ def test_generated_accounts_are_maximally_informative(triple):
     account satisfies all three properties of Definition 9 on arbitrary graphs,
     policies and markings."""
     graph, policy, consumer = triple
-    account = generate_protected_account(
+    account = build_protected_account(
         graph, policy, consumer, ensure_maximal_connectivity=True
     )
     report = validate_maximally_informative(graph, policy, consumer, account)
@@ -56,7 +57,7 @@ def test_default_algorithm_satisfies_node_properties(triple):
     dominant surrogacy (properties 1-2 of Definition 9); only the connectivity
     property can require the optional repair pass under adversarial markings."""
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     report = validate_maximally_informative(graph, policy, consumer, account)
     connectivity_only = [v for v in report.violations if "maximal connectivity" not in v]
     assert connectivity_only == [], connectivity_only
@@ -74,7 +75,7 @@ def test_naive_account_is_always_sound(triple):
 @given(graph_with_policy())
 def test_metrics_stay_in_unit_interval(triple):
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     assert 0.0 <= path_utility(graph, account) <= 1.0
     assert 0.0 <= node_utility(graph, account) <= 1.0
     for edge in graph.edge_keys():
@@ -85,7 +86,7 @@ def test_metrics_stay_in_unit_interval(triple):
 @given(graph_with_policy())
 def test_protected_account_never_beats_full_access_utility(triple):
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     naive = naive_protected_account(graph, policy, consumer)
     # The generated account is at least as useful as the naive one, and at most
     # as useful as the original graph served whole (utility 1).
@@ -113,7 +114,6 @@ def test_surrogate_strategy_dominates_hide_strategy(graph, data):
     if graph.edge_count() == 0:
         return
     policy = ReleasePolicy(PrivilegeLattice())
-    engine = ProtectionEngine(policy)
     public = policy.lattice.public
     edge_count = data.draw(st.integers(min_value=1, max_value=graph.edge_count()))
     protected_edges = data.draw(
@@ -124,8 +124,13 @@ def test_surrogate_strategy_dominates_hide_strategy(graph, data):
             unique=True,
         )
     )
-    accounts = engine.compare_strategies(graph, protected_edges, public)
-    hide_account, surrogate_account = accounts["hide"], accounts["surrogate"]
+    service = ProtectionService(graph, policy)
+    hide_account, surrogate_account = (
+        service.protect(
+            privilege=public, protect_edges=protected_edges, strategy=strategy, score=False
+        ).account
+        for strategy in ("hide", "surrogate")
+    )
     assert validate_protected_account(graph, hide_account).ok
     assert validate_protected_account(graph, surrogate_account).ok
     assert path_utility(graph, surrogate_account) >= path_utility(graph, hide_account) - 1e-9
@@ -163,7 +168,7 @@ def test_high_water_set_is_a_covering_antichain(triple):
 @given(graph_with_policy())
 def test_account_nodes_never_exceed_original_and_never_leak(triple):
     graph, policy, consumer = triple
-    account = generate_protected_account(graph, policy, consumer)
+    account = build_protected_account(graph, policy, consumer)
     assert account.graph.node_count() <= graph.node_count()
     for account_node in account.graph.node_ids():
         original = account.original_of(account_node)
@@ -176,8 +181,8 @@ def test_account_nodes_never_exceed_original_and_never_leak(triple):
 @given(graph_with_policy())
 def test_generation_is_deterministic(triple):
     graph, policy, consumer = triple
-    first = generate_protected_account(graph, policy, consumer)
-    second = generate_protected_account(graph, policy, consumer)
+    first = build_protected_account(graph, policy, consumer)
+    second = build_protected_account(graph, policy, consumer)
     assert first.graph == second.graph
     assert first.correspondence == second.correspondence
     assert first.surrogate_edges == second.surrogate_edges

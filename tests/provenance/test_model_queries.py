@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.generation import generate_protected_account
+from repro.core.generation import build_protected_account
 from repro.core.policy import ReleasePolicy
 from repro.core.privileges import PrivilegeLattice
 from repro.exceptions import ProvenanceError
@@ -92,7 +92,7 @@ class TestLineageQueries:
         secret = lattice.add("Secret", dominates=["Public"])
         policy = ReleasePolicy(lattice)
         policy.set_lowest("raw_data", secret)
-        account = generate_protected_account(workflow.graph, policy, lattice.public)
+        account = build_protected_account(workflow.graph, policy, lattice.public)
         result = lineage_over_account(account, "report", direction="upstream")
         assert "raw_data" not in result.nodes
         assert "clean" in result.nodes
@@ -102,14 +102,14 @@ class TestLineageQueries:
         secret = lattice.add("Secret", dominates=["Public"])
         policy = ReleasePolicy(lattice)
         policy.set_lowest("report", secret)
-        account = generate_protected_account(workflow.graph, policy, lattice.public)
+        account = build_protected_account(workflow.graph, policy, lattice.public)
         result = lineage_over_account(account, "report")
         assert result.start_missing and len(result) == 0
 
     def test_lineage_gain_report(self, workflow):
         lattice = PrivilegeLattice()
         policy = ReleasePolicy(lattice)
-        account = generate_protected_account(workflow.graph, policy, lattice.public)
+        account = build_protected_account(workflow.graph, policy, lattice.public)
         full = lineage_over_account(account, "report")
         empty = lineage_over_account(account, "raw_data")
         gain = lineage_gain(empty, full)
